@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple
 from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
-from repro.hdl.netlist import Netlist
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Netlist, sanitise_name
+from repro.hdl.simulator import Simulator, sample_outputs
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragAddressGenerator"]
@@ -60,7 +60,7 @@ class SragAddressGenerator:
         dimension violates an SRAG restriction.
         """
         row_mapping, col_mapping = map_address_sequence(sequence)
-        netlist = Netlist(name or _sanitise(f"srag_{sequence.name}"))
+        netlist = Netlist(name or sanitise_name(f"srag_{sequence.name}"))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -125,19 +125,15 @@ class SragAddressGenerator:
         or on a fresh elaboration.
         """
         steps = cycles if cycles is not None else self.sequence.length
-        sim = Simulator(self.netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        addresses = []
-        for _ in range(steps):
-            sim.settle()
+
+        def address(sim: Simulator) -> int:
             row = sim.peek_onehot(self.row_ports.select_lines)
             col = sim.peek_onehot(self.col_ports.select_lines)
             if row is None or col is None:
                 raise RuntimeError("select lines are not one-hot during simulation")
-            addresses.append(row * self.cols + col)
-            sim.step()
-        return addresses
+            return row * self.cols + col
+
+        return sample_outputs(self.netlist, steps, address, next=1)
 
     def verify(self, cycles: Optional[int] = None, *, structural: bool = False) -> bool:
         """Check that the generator reproduces its target sequence."""
@@ -149,11 +145,3 @@ class SragAddressGenerator:
             self.sequence.linear[i % self.sequence.length] for i in range(steps)
         ]
         return produced == expected
-
-
-def _sanitise(name: str) -> str:
-    """Make a workload name safe for use as a netlist identifier."""
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

@@ -515,23 +515,6 @@ class CampaignRunner:
     def chunk_size(self) -> Optional[int]:
         return self._scheduler.chunk_size
 
-    @property
-    def _pool(self):
-        return self._scheduler._pool
-
-    @_pool.setter
-    def _pool(self, pool) -> None:
-        self._scheduler._pool = pool
-
-    def _get_pool(self):
-        return self._scheduler._get_pool()
-
-    def _discard_pool(self) -> None:
-        self._scheduler._discard_pool()
-
-    def _chunked(self, jobs: List[EvalJob]) -> List[List[EvalJob]]:
-        return self._scheduler._chunked(jobs)
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Shut down the private scheduler's worker pool (idempotent).

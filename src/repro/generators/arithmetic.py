@@ -23,8 +23,8 @@ from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import build_binary_counter
 from repro.hdl.components.decoder import build_decoder
-from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
+from repro.hdl.simulator import sample_outputs
 from repro.synth.logic.minimize import minimize
 from repro.synth.logic.synthesize import sop_to_netlist
 from repro.synth.logic.truth_table import TruthTable
@@ -77,7 +77,7 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
 
     # -------------------------------------------------------------- elaborate
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -156,22 +156,9 @@ class ArithmeticAddressGenerator(AddressGeneratorDesign):
     def simulate(self, cycles: Optional[int] = None) -> List[int]:
         steps = cycles if cycles is not None else self.sequence.length
         netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
         address_bus = Bus(
             [netlist.outputs[f"addr_{i}"] for i in range(self.address_width)]
         )
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            addresses.append(sim.peek_bus(address_bus))
-            sim.step()
-        return addresses
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned
+        return sample_outputs(
+            netlist, steps, lambda sim: sim.peek_bus(address_bus), next=1
+        )

@@ -30,8 +30,8 @@ from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import BinaryCounter, build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.components.gates import build_and_tree
-from repro.hdl.netlist import Bus, Net, Netlist, NetlistError
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
+from repro.hdl.simulator import sample_outputs
 from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.synth.flow import run_synthesis_flow
@@ -83,7 +83,7 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
 
     # -------------------------------------------------------------- elaborate
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
@@ -253,19 +253,15 @@ class CounterBasedAddressGenerator(AddressGeneratorDesign):
     def simulate(self, cycles: Optional[int] = None) -> List[int]:
         steps = cycles if cycles is not None else self.sequence.length
         netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
         row_bus = Bus([netlist.outputs[f"ra_{i}"] for i in range(self.row_width)])
         col_bus = Bus([netlist.outputs[f"ca_{i}"] for i in range(self.col_width)])
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
-            row = sim.peek_bus(row_bus)
-            col = sim.peek_bus(col_bus)
-            addresses.append(row * self.pattern.cols + col)
-            sim.step()
-        return addresses
+        cols = self.pattern.cols
+        return sample_outputs(
+            netlist,
+            steps,
+            lambda sim: sim.peek_bus(row_bus) * cols + sim.peek_bus(col_bus),
+            next=1,
+        )
 
     # ------------------------------------------------------------- components
     def counter_section_report(self, library: CellLibrary = STD018) -> SynthesisResult:
@@ -352,10 +348,3 @@ def standalone_decoder_report(
         name=netlist.name,
         metadata={"address_width": address_width, "num_outputs": num_outputs},
     )
-
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned

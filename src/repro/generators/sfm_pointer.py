@@ -18,8 +18,8 @@ from typing import List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.components.shift_register import build_token_shift_register
-from repro.hdl.netlist import Bus, Netlist, NetlistError
-from repro.hdl.simulator import Simulator
+from repro.hdl.netlist import Bus, Netlist, NetlistError, sanitise_name
+from repro.hdl.simulator import Simulator, sample_outputs
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SfmPointerGenerator"]
@@ -40,7 +40,7 @@ class SfmPointerGenerator(AddressGeneratorDesign):
         self.depth = sequence.length
 
     def elaborate(self) -> Netlist:
-        netlist = Netlist(_sanitise(self.name))
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_read = netlist.add_input("next")
         next_write = netlist.add_input("next_write")
@@ -68,24 +68,12 @@ class SfmPointerGenerator(AddressGeneratorDesign):
         """Cell indices selected by the head (read) pointer over time."""
         steps = cycles if cycles is not None else self.sequence.length
         netlist = self.netlist
-        sim = Simulator(netlist)
-        sim.reset()
-        sim.poke("next", 1)
-        sim.poke("next_write", 0)
         head_lines = Bus([netlist.outputs[f"head_sel_{i}"] for i in range(self.depth)])
-        addresses: List[int] = []
-        for _ in range(steps):
-            sim.settle()
+
+        def head(sim: Simulator) -> int:
             index = sim.peek_onehot(head_lines)
             if index is None:
                 raise RuntimeError("head pointer lost its token")
-            addresses.append(index)
-            sim.step()
-        return addresses
+            return index
 
-
-def _sanitise(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
-        cleaned = f"n_{cleaned}"
-    return cleaned
+        return sample_outputs(netlist, steps, head, next=1, next_write=0)

@@ -10,13 +10,13 @@ their area and delay are measured.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.hdl.netlist import Cell, Net, Netlist
 from repro.hdl.primitives import combinational_eval, flop_next_state
 from repro.obs import metrics
 
-__all__ = ["Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError", "sample_outputs"]
 
 
 class SimulationError(Exception):
@@ -196,3 +196,28 @@ class Simulator:
                 samples.append(self.peek_bus(output_bus))
             self.step()
         return samples
+
+
+def sample_outputs(
+    netlist: Netlist,
+    cycles: int,
+    decode: Callable[[Simulator], int],
+    **stimulus: int,
+) -> List[int]:
+    """Reset ``netlist``, hold ``stimulus`` on its inputs and sample it each cycle.
+
+    The gate-level check shared by every address generator: pulse
+    ``reset``, poke each ``stimulus`` port (``next=1`` advances a
+    generator), then for ``cycles`` cycles settle, record ``decode(sim)`` --
+    the value the current state presents -- and clock one edge.
+    """
+    sim = Simulator(netlist)
+    sim.reset()
+    for port, value in stimulus.items():
+        sim.poke(port, value)
+    samples: List[int] = []
+    for _ in range(cycles):
+        sim.settle()
+        samples.append(decode(sim))
+        sim.step()
+    return samples

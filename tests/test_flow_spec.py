@@ -8,9 +8,9 @@ Three contracts matter here:
   for a legacy job and a fully-loaded job, so no future ``FlowSpec`` edit can
   silently invalidate every on-disk campaign cache.  The same applies to the
   ``EvalRecord`` dictionary form.
-* **Compatibility shims** -- every pre-``FlowSpec`` loose-keyword signature
-  keeps working, warns exactly once per call, and produces results identical
-  to the equivalent ``spec=`` call.
+* **One configuration surface** -- ``spec`` is the only way to configure
+  a flow: the pre-``FlowSpec`` loose keywords and positional forms are gone
+  and raise ``TypeError``.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import STD018, get_library
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads.fifo import fifo_pattern, incremental_sequence
-from repro.workloads.motion_estimation import read_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,9 @@ def test_golden_key_fully_loaded_job():
     assert job.key == (
         "206dcc12212e7b9bbb89c3675d115664b13a9821a372ec270b9a138c064d0913"
     )
+    # The read-only convenience views that labels and reports use.
+    assert (job.library, job.max_fanout, job.max_fsm_states) == ("std018_lp", 4, 1024)
+    assert (job.power_cycles, job.opt_level) == (128, 1)
 
 
 def test_golden_record_serialisation():
@@ -208,114 +210,43 @@ def test_golden_record_serialisation():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: every legacy signature warns once, behaves identically
+# One configuration surface: spec= is the only way in
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def srag_netlist():
-    return SragDesign(incremental_sequence(32)).elaborate()
-
 
 def _figures(result):
     return (result.area_cells, result.delay_ns, result.buffers_inserted)
 
 
-def test_run_synthesis_flow_legacy_keywords(srag_netlist):
-    with pytest.warns(DeprecationWarning, match="run_synthesis_flow") as caught:
-        legacy = run_synthesis_flow(
-            srag_netlist, library=get_library("std018_lp"), max_fanout=4, opt_level=1
-        )
-    assert len(caught) == 1
-    fresh = run_synthesis_flow(
-        srag_netlist,
-        spec=FlowSpec(library="std018_lp", max_fanout=4, opt_level=1),
-    )
-    assert _figures(legacy) == _figures(fresh)
+#: One pre-FlowSpec call form per entry point; each now raises TypeError.
+_PRE_FLOWSPEC_CALLS = {
+    "run_synthesis_flow": lambda: run_synthesis_flow(
+        SragDesign(incremental_sequence(8)).netlist, opt_level=1
+    ),
+    "synthesize": lambda: SragDesign(incremental_sequence(8)).synthesize(
+        library=STD018
+    ),
+    "synthesize-two-positionals": lambda: SragDesign(
+        incremental_sequence(8)
+    ).synthesize(STD018, STD018),
+    "generate": lambda: generate(incremental_sequence(8), library=STD018),
+    "explore": lambda: explore(fifo_pattern(4, 4), max_fsm_states=4),
+    "EvalJob": lambda: EvalJob("fifo", 4, 4, "SRAG", "two-hot", power_cycles=64),
+    "Campaign.from_grid": lambda: Campaign.from_grid(
+        "g", workloads=("fifo",), geometries=((4, 4),), max_fanout=4
+    ),
+}
 
 
-def test_synthesize_positional_library_warns_and_matches(srag_netlist):
-    design = SragDesign(incremental_sequence(32))
-    with pytest.warns(DeprecationWarning, match="SragDesign.synthesize") as caught:
-        legacy = design.synthesize(get_library("std018_lp"))
-    assert len(caught) == 1
-    assert _figures(legacy) == _figures(
-        design.synthesize(spec=FlowSpec(library="std018_lp"))
-    )
+@pytest.mark.parametrize("entry_point", sorted(_PRE_FLOWSPEC_CALLS))
+def test_entry_points_reject_pre_flowspec_arguments(entry_point):
+    with pytest.raises(TypeError, match="unexpected keyword argument|positional"):
+        _PRE_FLOWSPEC_CALLS[entry_point]()
 
 
-def test_synthesize_library_is_keyword_only_now():
-    design = SragDesign(incremental_sequence(16))
-    with pytest.raises(TypeError, match="positional"):
-        design.synthesize(STD018, STD018)
-    with pytest.raises(TypeError, match="both"):
-        design.synthesize(STD018, library=STD018)
-
-
-def test_synthesize_legacy_keywords_warn_once(srag_netlist):
-    design = SragDesign(incremental_sequence(32))
-    with pytest.warns(DeprecationWarning) as caught:
-        legacy = design.synthesize(max_fanout=4, opt_level=1)
-    assert len(caught) == 1  # one warning per call, not per keyword
-    assert _figures(legacy) == _figures(
-        design.synthesize(spec=FlowSpec(max_fanout=4, opt_level=1))
-    )
-
-
-def test_generate_legacy_keywords(capsys):
-    sequence = read_sequence(4, 4, 2, 2)
-    with pytest.warns(DeprecationWarning, match="generate") as caught:
-        legacy = generate(sequence, synthesize=True, opt_level=1)
-    assert len(caught) == 1
-    fresh = generate(sequence, synthesize=True, spec=FlowSpec(opt_level=1))
-    assert _figures(legacy.synthesis) == _figures(fresh.synthesis)
-
-
-def test_explore_legacy_keywords():
-    pattern = fifo_pattern(4, 4)
-    with pytest.warns(DeprecationWarning, match="explore") as caught:
-        legacy = explore(pattern, max_fsm_states=4, opt_level=1)
-    assert len(caught) == 1
-    fresh = explore(pattern, spec=FlowSpec(max_fsm_states=4, opt_level=1))
-    as_dict = lambda r: {
-        (p.style, p.variant): (p.delay_ns, p.area_cells) for p in r.points
-    }
-    assert as_dict(legacy) == as_dict(fresh)
-    assert all(p.style != "FSM" for p in legacy.points)
-
-
-def test_eval_job_legacy_keywords():
-    with pytest.warns(DeprecationWarning, match="EvalJob") as caught:
-        legacy = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
-                         library="std018_lp", power_cycles=64, opt_level=1)
-    assert len(caught) == 1
-    fresh = EvalJob("fifo", 4, 4, "SRAG", "two-hot",
-                    FlowSpec(library="std018_lp", power_cycles=64, opt_level=1))
-    assert legacy == fresh and legacy.key == fresh.key
-    # Reading the convenience attributes is not deprecated.
-    assert (legacy.library, legacy.power_cycles, legacy.opt_level) == (
-        "std018_lp", 64, 1,
-    )
-    assert legacy.max_fanout == 8 and legacy.max_fsm_states == 512
-
-
-def test_from_grid_legacy_keywords():
-    grid = dict(workloads=("fifo",), geometries=((4, 4),),
-                styles=(("SRAG", "two-hot"),))
-    with pytest.warns(DeprecationWarning, match="Campaign.from_grid") as caught:
-        legacy = Campaign.from_grid("g", power_cycles=32, opt_level=1, **grid)
-    assert len(caught) == 1
-    fresh = Campaign.from_grid(
-        "g", spec=FlowSpec(power_cycles=32, opt_level=1), **grid
-    )
-    assert [job.key for job in legacy] == [job.key for job in fresh]
-
-
-def test_legacy_keywords_layer_on_top_of_an_explicit_spec():
-    """dataclasses.replace-style call sites keep working: spec + override."""
-    spec = FlowSpec(library="std018_lp", opt_level=1)
-    with pytest.warns(DeprecationWarning):
-        job = EvalJob("fifo", 4, 4, "SRAG", "two-hot", spec, power_cycles=16)
-    assert job.spec == spec.with_overrides(power_cycles=16)
+def test_eval_job_rejects_a_library_in_the_spec_slot():
+    """The pre-FlowSpec dataclass had ``library`` as its 6th positional field."""
+    with pytest.raises(TypeError, match="FlowSpec"):
+        EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018_lp")
 
 
 def test_eval_job_pickles_without_warning(recwarn):
@@ -323,18 +254,6 @@ def test_eval_job_pickles_without_warning(recwarn):
     clone = pickle.loads(pickle.dumps(job))
     assert clone == job and clone.key == job.key
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-
-
-def test_eval_job_legacy_positional_library_still_works():
-    """The pre-FlowSpec dataclass had library as its 6th positional field."""
-    with pytest.warns(DeprecationWarning, match="EvalJob") as caught:
-        legacy = EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018_lp")
-    assert len(caught) == 1
-    assert legacy == EvalJob(
-        "fifo", 4, 4, "SRAG", "two-hot", FlowSpec(library="std018_lp")
-    )
-    with pytest.raises(TypeError, match="both"):
-        EvalJob("fifo", 4, 4, "SRAG", "two-hot", "std018_lp", library="std018")
 
 
 def test_synthesize_accepts_a_positional_spec(recwarn):
