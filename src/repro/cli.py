@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-cache",
         action="store_true",
         help=(
-            "rewrite the --cache-dir result file keeping only the latest "
-            "entry per key, then exit"
+            "merge the --cache-dir writer segments into its results.jsonl, "
+            "keeping only the latest entry per key, then exit (safe while "
+            "other runs or a --serve process write to the directory)"
         ),
     )
     source.add_argument(
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print statistics about the --cache-dir result cache (entry "
-            "count, live vs stale lines, status breakdown) and exit"
+            "count, live vs stale lines across results.jsonl and the writer "
+            "segments, status breakdown) and exit"
         ),
     )
     source.add_argument(
@@ -215,18 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--cache-dir",
         help="persistent result-cache directory (campaigns resume from it)",
-    )
-    engine.add_argument(
-        "--cache-backend",
-        choices=["jsonl", "sharded"],
-        default=None,
-        help=(
-            "cache write layout: 'jsonl' appends to one results.jsonl "
-            "(single writer; the default for CLI runs), 'sharded' gives "
-            "every writer its own segment file so concurrent processes can "
-            "share a cache dir (the default for --serve).  Reads always "
-            "see both layouts."
-        ),
     )
     engine.add_argument(
         "--connect",
@@ -383,8 +373,8 @@ def _count_cache_lines(cache: ResultCache) -> int:
 def _compact_cache(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Merge segments and drop superseded lines; report the shrink.
 
-    Compaction takes the directory's lock file, so it is safe to run while
-    a service (or another CLI run using the sharded backend) is appending.
+    Compaction and every append take the directory's lock file, so it is
+    safe to run while a service or another CLI run is appending.
     """
     if not args.cache_dir:
         parser.error("--compact-cache requires --cache-dir")
@@ -497,7 +487,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
             return 3
     else:
-        cache = ResultCache(args.cache_dir, backend=args.cache_backend or "jsonl")
+        cache = ResultCache(args.cache_dir)
         workers = 0 if args.serial else args.workers
         print(
             f"campaign {args.campaign!r}: {len(campaign)} jobs, "
@@ -590,7 +580,6 @@ def _serve(args: argparse.Namespace) -> int:
 
     service = CampaignService(
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend or "sharded",
         workers=0 if args.serial else args.workers,
         retry_policy=_retry_policy(args),
         rebuild_budget=args.rebuild_budget,

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk result store with pluggable write backends.
+"""Content-addressed on-disk result store: one base file plus writer segments.
 
 Synthesising a design point takes orders of magnitude longer than reading a
 cached record, so campaigns persist every evaluation keyed by the job's
@@ -6,28 +6,26 @@ content hash (:attr:`repro.engine.jobs.EvalJob.key`).  Re-running a campaign
 then only evaluates points whose spec changed -- new workloads, new
 geometries, a recalibrated library -- and everything else is a cache hit.
 
-The store is a directory of append-only JSON-lines files.  *Reading* is
-backend-agnostic: every cache loads the base ``results.jsonl`` plus any
-``segments/*.jsonl`` shard files, so a directory written by either backend
-(or by several writers) loads unchanged.  *Writing* is the backend choice:
-
-* :class:`JsonlBackend` (the default, and the seed format) appends every
-  record to the single base file.  Atomic enough for the single-writer
-  model the CLI uses; the format stays greppable and diffable.
-* :class:`ShardedSegmentBackend` gives every writer its own segment file
-  under ``segments/``, so any number of concurrent processes (the campaign
-  service, parallel CLI invocations) can append without interleaving a
-  single file.  Segments are folded back into the base file by
-  merge-on-compact.
+The store is a directory of append-only JSON-lines files with one write
+layout.  Every :class:`ResultCache` instance appends to its own segment
+``segments/seg-<time_ns>-<pid>-<random>.jsonl``, holding the directory
+:class:`CacheLock` for each append, so any number of writers (CLI runs, the
+campaign service, a compaction) can share a directory without interleaving
+one file.  The base ``results.jsonl`` is written only by
+:meth:`ResultCache.compact`.  A load reads the base file first, then the
+segments in name order; the zero-padded creation timestamp in the name
+makes that the order the writers started in, so a key re-put by a later
+run wins over an earlier one (last write wins, as with a single file).
+Directories holding only a ``results.jsonl`` from before segments existed
+load unchanged.
 
 Re-putting a key appends a new line that supersedes the old one on the next
 load; :meth:`ResultCache.compact` re-reads every data file *from disk* under
-the directory-level :class:`CacheLock` (so a concurrent writer can neither
-be torn nor lost), rewrites the base file with only live entries and removes
-the segment files it merged.  Every key and record stays byte-identical to
-the seed format regardless of backend.
+the lock (so a concurrent writer can neither be torn nor lost), rewrites the
+base file with only live entries and removes the segment files it merged.
+The record line format is the same in segments and in the base file.
 
-Crash safety (PR 10) completes the torn-*read* tolerance with torn-*write*
+Crash safety completes the torn-*read* tolerance with torn-*write*
 tolerance.  Appends are atomic from the reader's point of view: the line is
 written, flushed and fsynced **before** the in-memory index acknowledges the
 key, a torn tail left by a killed writer is newline-sealed before the next
@@ -48,21 +46,13 @@ import json
 import os
 import time
 import uuid
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs import log, metrics
 from repro.resilience.faults import FaultInjected, fault_data, fault_point
 from repro.resilience.retry import RetryPolicy, call_with_retry
 
-__all__ = [
-    "CacheLock",
-    "CacheLockTimeout",
-    "CacheBackend",
-    "JsonlBackend",
-    "ResultCache",
-    "ShardedSegmentBackend",
-    "make_backend",
-]
+__all__ = ["CacheLock", "CacheLockTimeout", "ResultCache"]
 
 _RESULTS_FILE = "results.jsonl"
 _SEGMENTS_DIR = "segments"
@@ -78,13 +68,13 @@ class CacheLockTimeout(TimeoutError):
 
 
 class CacheLock:
-    """Advisory inter-process lock file guarding cache compaction.
+    """Advisory inter-process lock file guarding cache appends and compaction.
 
     Acquisition atomically creates ``cache.lock`` in the cache directory
-    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Compaction (both
-    backends) and sharded-segment appends take this lock, so rewriting the
-    base file can never race a writer into losing records -- the satellite
-    fix for ``sradgen --compact-cache`` racing a running service.
+    (``O_CREAT | O_EXCL``) with the holder's pid inside.  Compaction and
+    every append take this lock, so rewriting the base file can never race
+    a writer into losing records (``sradgen --compact-cache`` is safe while
+    a service or another run is writing).
 
     A lock whose holder died (pid gone, or the file is older than
     ``stale_after_s``) is broken and re-acquired, so a crashed compaction
@@ -175,72 +165,6 @@ class CacheLock:
         self.release()
 
 
-class CacheBackend:
-    """Write strategy behind :class:`ResultCache`.
-
-    A backend decides one thing: which file a ``put`` appends to, and
-    whether that append must hold the directory :class:`CacheLock`.
-    Reading and compaction are shared by :class:`ResultCache` and are
-    backend-agnostic.
-    """
-
-    #: Registry handle (``ResultCache(dir, backend="jsonl")``).
-    name: str = ""
-    #: Whether appends must hold the cache lock (concurrent-writer safety).
-    locks_appends: bool = False
-
-    def append_path(self, directory: str) -> str:
-        """The file this backend's appends go to."""
-        raise NotImplementedError
-
-
-class JsonlBackend(CacheBackend):
-    """The seed format: one append-only ``results.jsonl``, single writer."""
-
-    name = "jsonl"
-    locks_appends = False
-
-    def append_path(self, directory: str) -> str:
-        return os.path.join(directory, _RESULTS_FILE)
-
-
-class ShardedSegmentBackend(CacheBackend):
-    """Per-writer segment files under ``segments/``; merge-on-compact.
-
-    Each backend instance owns one segment named after its ``writer_id``
-    (pid plus a random token by default), so concurrent writers never touch
-    the same file.  Appends take the directory lock briefly so a concurrent
-    compaction cannot unlink a segment between reading and merging it.
-    """
-
-    name = "sharded"
-    locks_appends = True
-
-    def __init__(self, writer_id: Optional[str] = None):
-        self.writer_id = writer_id or f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-
-    def append_path(self, directory: str) -> str:
-        return os.path.join(
-            directory, _SEGMENTS_DIR, f"seg-{self.writer_id}.jsonl"
-        )
-
-
-_BACKENDS = {JsonlBackend.name: JsonlBackend, ShardedSegmentBackend.name: ShardedSegmentBackend}
-
-
-def make_backend(backend: Union[str, CacheBackend]) -> CacheBackend:
-    """Resolve a backend name (or pass an instance through)."""
-    if isinstance(backend, CacheBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]()
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; "
-            f"available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
 class ResultCache:
     """Persistent ``key -> record`` store backed by JSON-lines files.
 
@@ -249,27 +173,22 @@ class ResultCache:
     directory:
         Cache directory; created on first write.  ``None`` gives a purely
         in-memory cache (useful for tests and one-shot runs).
-    backend:
-        Write strategy: ``"jsonl"`` (default; the seed single-writer file)
-        or ``"sharded"`` (per-writer segment files safe for concurrent
-        writers), or a :class:`CacheBackend` instance.  Reading always
-        covers both layouts, so the backend can be switched freely over an
-        existing directory.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        *,
-        backend: Union[str, CacheBackend] = "jsonl",
-    ):
+    def __init__(self, directory: Optional[str] = None):
         self.directory = directory
-        self.backend = make_backend(backend)
         self._records: Dict[str, dict] = {}
         self._loaded = directory is None
-        # Paths whose tail this instance has verified ends in a newline; a
-        # write failure invalidates the entry so the next append re-seals.
-        self._sealed: Set[str] = set()
+        #: The segment this instance appends to (``None`` in memory).  The
+        #: name is fixed here, so segments sort in the order their writers
+        #: were created.
+        self.segment_path: Optional[str] = None
+        if directory is not None:
+            name = f"seg-{time.time_ns():020d}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+            self.segment_path = os.path.join(directory, _SEGMENTS_DIR, name + ".jsonl")
+        # Whether the segment's tail is verified to end in a newline; a
+        # write failure clears it so the next append re-seals.
+        self._sealed = False
 
     # ------------------------------------------------------------------- io
     @property
@@ -280,11 +199,13 @@ class ResultCache:
         return os.path.join(self.directory, _RESULTS_FILE)
 
     def data_paths(self) -> List[str]:
-        """Every data file, in deterministic load order: base, then segments.
+        """Every data file, in load order: base, then segments oldest first.
 
-        Overlapping keys resolve last-write-wins in this order; since keys
-        are content hashes, two writers racing on one key wrote the same
-        record, so the order between segments is benign.
+        Overlapping keys resolve last-write-wins in this order.  Segment
+        names start with their writer's creation time, so a later run's
+        segment loads after an earlier run's.  Writers that overlap in time
+        are ordered by start, not by each put; keys are content hashes, so
+        two writers racing on one key wrote the same record.
         """
         if self.directory is None:
             return []
@@ -374,18 +295,17 @@ class ResultCache:
         )
 
     def _append(self, key: str, record: dict) -> None:
-        if self.directory is None:
+        path = self.segment_path
+        if path is None:
             return
         fault_point("cache.append")
-        path = self.backend.append_path(self.directory)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
 
         def attempt() -> None:
-            if self.backend.locks_appends:
-                with self.lock():
-                    self._write_line(path, line)
-            else:
+            # Without the lock a concurrent compaction could read this
+            # segment, then unlink it with this line unmerged.
+            with self.lock():
                 self._write_line(path, line)
 
         call_with_retry(
@@ -403,7 +323,7 @@ class ResultCache:
         reader can never observe a key whose record is not on disk.
         """
         payload = fault_data("cache.append.write", line)
-        if path not in self._sealed:
+        if not self._sealed:
             self._seal_tail(path)
         try:
             with open(path, "a", encoding="utf-8") as handle:
@@ -411,14 +331,14 @@ class ResultCache:
                 handle.flush()
                 os.fsync(handle.fileno())
         except Exception:
-            self._sealed.discard(path)
+            self._sealed = False
             raise
         fault_point("cache.append.flush")
         if payload is not line:
             # An injected torn write left a fragment on disk, exactly as a
             # kill mid-write would.  Fail the append (it was never acked);
             # the retry re-seals the fragment and lands the full line.
-            self._sealed.discard(path)
+            self._sealed = False
             raise FaultInjected(f"torn append left {len(payload)} bytes in {path}")
 
     def _seal_tail(self, path: str) -> None:
@@ -432,7 +352,7 @@ class ResultCache:
         try:
             size = os.path.getsize(path)
         except OSError:
-            self._sealed.add(path)  # file does not exist yet
+            self._sealed = True  # file does not exist yet
             return
         if size:
             with open(path, "rb+") as handle:
@@ -447,10 +367,10 @@ class ResultCache:
                         component="cache",
                         path=path,
                     )
-        self._sealed.add(path)
+        self._sealed = True
 
     def lock(self, *, timeout: float = 10.0) -> CacheLock:
-        """The directory-level lock guarding compaction and sharded appends."""
+        """The directory-level lock guarding compaction and appends."""
         if self.directory is None:
             raise ValueError("in-memory caches have no lock")
         return CacheLock(self.directory, timeout=timeout)
@@ -542,20 +462,3 @@ class ResultCache:
         # Adopt the merged view: it may contain other writers' records.
         self._records = merged
         metrics.gauge("cache.entries", len(self._records))
-
-    def clear(self) -> None:
-        """Drop every record (truncate the base file, remove segments)."""
-        self._load()
-        self._records.clear()
-        path = self.path
-        if path is None:
-            return
-        for source in self.data_paths():
-            if source == path:
-                with open(source, "w", encoding="utf-8"):
-                    pass
-            else:
-                try:
-                    os.unlink(source)
-                except OSError:  # sradlint: disable=ast.silent-except -- segment gone already; clear() is idempotent
-                    pass

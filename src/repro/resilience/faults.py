@@ -7,7 +7,7 @@ seam, named like metrics counters:
 ==========================  ====================================================
 site                        seam
 ==========================  ====================================================
-``cache.append``            before a base/segment JSONL append
+``cache.append``            before a segment JSONL append
 ``cache.append.write``      the append payload itself (``torn`` truncates it)
 ``cache.append.flush``      after write+flush, before the index ack
 ``cache.lock.acquire``      each :class:`~repro.engine.cache.CacheLock` attempt

@@ -55,12 +55,11 @@ class CampaignService:
 
     Parameters
     ----------
-    cache / cache_dir / cache_backend:
-        Either an existing :class:`ResultCache`, or a directory (plus
-        backend name) to open one in.  The default backend is ``sharded``:
-        the service is exactly the concurrent-writer scenario the
-        sharded-segment backend exists for (another process -- a CLI run, a
-        compaction -- may be appending to the same directory).
+    cache / cache_dir:
+        Either an existing :class:`ResultCache`, or a directory to open one
+        in.  Like every cache writer, the service appends to its own
+        segment under the directory lock, so other processes -- a CLI run,
+        a compaction -- may share the directory while it runs.
     workers / chunk_size / retry_policy / rebuild_budget:
         Forwarded to the private :class:`Scheduler` (``retry_policy`` /
         ``rebuild_budget`` are the self-healing knobs from
@@ -88,7 +87,6 @@ class CampaignService:
         *,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[str] = None,
-        cache_backend: str = "sharded",
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -105,7 +103,7 @@ class CampaignService:
             self._owns_scheduler = False
         else:
             if cache is None:
-                cache = ResultCache(cache_dir, backend=cache_backend)
+                cache = ResultCache(cache_dir)
             self._scheduler = Scheduler(
                 cache,
                 workers=workers,

@@ -1,4 +1,4 @@
-"""Cache backends: torn-line recovery, sharded segments, locking, stress."""
+"""Result cache layout: torn-line recovery, writer segments, locking, stress."""
 
 import json
 import multiprocessing
@@ -8,14 +8,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import (
-    CacheLock,
-    CacheLockTimeout,
-    JsonlBackend,
-    ResultCache,
-    ShardedSegmentBackend,
-    make_backend,
-)
+from repro.engine.cache import CacheLock, CacheLockTimeout, ResultCache
 from repro.obs import metrics
 
 
@@ -29,7 +22,7 @@ def test_truncated_trailing_line_keeps_live_prefix(tmp_path, capsys):
     """A crash mid-append must not poison the whole cache."""
     cache = ResultCache(str(tmp_path))
     _fill(cache, 3)
-    with open(cache.path, "a", encoding="utf-8") as handle:
+    with open(cache.segment_path, "a", encoding="utf-8") as handle:
         handle.write('{"key": "k3", "record": {"val')  # torn append
 
     reloaded = ResultCache(str(tmp_path))
@@ -44,9 +37,9 @@ def test_truncated_trailing_line_keeps_live_prefix(tmp_path, capsys):
 def test_torn_line_mid_file_skips_only_that_line(tmp_path):
     cache = ResultCache(str(tmp_path))
     _fill(cache, 2)
-    lines = open(cache.path, encoding="utf-8").read().splitlines()
+    lines = open(cache.segment_path, encoding="utf-8").read().splitlines()
     lines.insert(1, "{nonsense")
-    with open(cache.path, "w", encoding="utf-8") as handle:
+    with open(cache.segment_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     before = metrics.counter("cache.torn_lines")
     reloaded = ResultCache(str(tmp_path))
@@ -54,56 +47,77 @@ def test_torn_line_mid_file_skips_only_that_line(tmp_path):
     assert metrics.counter("cache.torn_lines") == before + 1
 
 
-# ----------------------------------------------------------------- backends
-def test_make_backend_resolves_names_and_instances():
-    assert isinstance(make_backend("jsonl"), JsonlBackend)
-    assert isinstance(make_backend("sharded"), ShardedSegmentBackend)
-    instance = ShardedSegmentBackend(writer_id="w1")
-    assert make_backend(instance) is instance
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        make_backend("bogus")
-
-
+# ----------------------------------------------------------------- segments
 def test_sharded_backend_writes_per_writer_segments(tmp_path):
-    a = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="a"))
-    b = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="b"))
+    """Every writer appends to its own segment; the base file is untouched."""
+    a = ResultCache(str(tmp_path))
+    b = ResultCache(str(tmp_path))
     a.put("ka", {"v": 1})
     b.put("kb", {"v": 2})
-    segments = sorted(os.listdir(tmp_path / "segments"))
-    assert segments == ["seg-a.jsonl", "seg-b.jsonl"]
+    segments = os.listdir(tmp_path / "segments")
+    # Sorted names are creation order: the older writer's segment first.
+    assert sorted(segments) == [
+        os.path.basename(a.segment_path),
+        os.path.basename(b.segment_path),
+    ]
+    assert all(name.startswith("seg-") for name in segments)
     assert not os.path.exists(tmp_path / "results.jsonl")
-    # A fresh cache -- regardless of its own write backend -- reads both.
     reader = ResultCache(str(tmp_path))
     assert reader.get("ka") == {"v": 1}
     assert reader.get("kb") == {"v": 2}
 
 
 def test_segment_record_format_matches_base_format(tmp_path):
-    """Same JSON line layout in segments as in the seed results.jsonl."""
-    jsonl_dir, sharded_dir = tmp_path / "a", tmp_path / "b"
-    ResultCache(str(jsonl_dir)).put("k", {"status": "ok", "delay_ns": 1.5})
-    ResultCache(str(sharded_dir), backend="sharded").put(
-        "k", {"status": "ok", "delay_ns": 1.5}
-    )
-    base_line = open(jsonl_dir / "results.jsonl", encoding="utf-8").read()
-    seg_file = next((sharded_dir / "segments").iterdir())
-    assert open(seg_file, encoding="utf-8").read() == base_line
+    """Same JSON line layout in segments as in the compacted results.jsonl."""
+    cache = ResultCache(str(tmp_path))
+    cache.put("k", {"status": "ok", "delay_ns": 1.5})
+    line = '{"key": "k", "record": {"delay_ns": 1.5, "status": "ok"}}\n'
+    assert open(cache.segment_path, encoding="utf-8").read() == line
+    cache.compact()
+    assert open(tmp_path / "results.jsonl", encoding="utf-8").read() == line
 
 
-def test_existing_jsonl_directory_loads_under_sharded_backend(tmp_path):
-    """Switching backend over an existing cache dir keeps every record."""
-    old = ResultCache(str(tmp_path))
-    _fill(old, 4)
-    new = ResultCache(str(tmp_path), backend="sharded")
-    assert len(new) == 4
-    new.put("extra", {"value": 99})
-    # And back again: the jsonl-backend reader sees the segment write too.
-    assert ResultCache(str(tmp_path)).get("extra") == {"value": 99}
+def test_sequential_writers_last_write_wins(tmp_path):
+    """A key re-put by a later writer wins on load and after compaction."""
+    for writer in range(5):
+        ResultCache(str(tmp_path)).put("k", {"writer": writer})
+    assert len(os.listdir(tmp_path / "segments")) == 5
+    assert ResultCache(str(tmp_path)).get("k") == {"writer": 4}
+    ResultCache(str(tmp_path)).compact()
+    assert ResultCache(str(tmp_path)).get("k") == {"writer": 4}
+    # A writer after the compaction still supersedes the merged base.
+    ResultCache(str(tmp_path)).put("k", {"writer": 5})
+    assert ResultCache(str(tmp_path)).get("k") == {"writer": 5}
+
+
+def test_pre_segment_results_jsonl_loads_with_new_writes(tmp_path):
+    """A results.jsonl written before segments existed still loads, new
+    writes land beside it, and compaction folds both into one base file."""
+    with open(tmp_path / "results.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(4):
+            handle.write(json.dumps({"key": f"k{i}", "record": {"value": i}}) + "\n")
+    cache = ResultCache(str(tmp_path))
+    assert len(cache) == 4
+    cache.put("extra", {"value": 99})
+    cache.put("k0", {"value": 100})  # supersedes the old base line
+    reloaded = ResultCache(str(tmp_path))
+    assert len(reloaded) == 5
+    assert reloaded.get("k3") == {"value": 3}
+    assert reloaded.get("extra") == {"value": 99}
+    assert reloaded.get("k0") == {"value": 100}
+
+    reloaded.compact()
+    assert os.listdir(tmp_path / "segments") == []
+    lines = (tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    final = ResultCache(str(tmp_path))
+    assert final.get("k0") == {"value": 100}
+    assert final.get("extra") == {"value": 99}
 
 
 def test_compact_merges_segments_into_base(tmp_path):
-    a = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="a"))
-    b = ResultCache(str(tmp_path), backend=ShardedSegmentBackend(writer_id="b"))
+    a = ResultCache(str(tmp_path))
+    b = ResultCache(str(tmp_path))
     _fill(a, 3, prefix="a")
     _fill(b, 3, prefix="b")
     a.put("shared", {"value": 1})
@@ -127,7 +141,7 @@ def test_compact_preserves_records_from_unseen_writers(tmp_path):
     mine = ResultCache(str(tmp_path))
     _fill(mine, 2)
     # Another process appends after this instance loaded its view.
-    other = ResultCache(str(tmp_path), backend="sharded")
+    other = ResultCache(str(tmp_path))
     other.put("theirs", {"value": 42})
     assert "theirs" not in mine._records  # never seen by `mine`
     mine.compact()
@@ -175,14 +189,12 @@ def test_in_memory_cache_has_no_lock():
 
 # ------------------------------------------------------------------- stress
 def test_multi_writer_thread_stress(tmp_path):
-    """Concurrent threads with private sharded writers: no record lost."""
+    """Concurrent threads, each with its own writer: no record lost."""
     writers = 8
     per_writer = 25
 
     def work(index):
-        cache = ResultCache(
-            str(tmp_path), backend=ShardedSegmentBackend(writer_id=f"t{index}")
-        )
+        cache = ResultCache(str(tmp_path))
         for i in range(per_writer):
             cache.put(f"w{index}-k{i}", {"writer": index, "i": i})  # disjoint
             cache.put("overlap", {"value": "same"})  # overlapping
@@ -203,7 +215,7 @@ def test_multi_writer_thread_stress(tmp_path):
 
 
 def _process_writer(directory, index, per_writer):
-    cache = ResultCache(directory, backend="sharded")
+    cache = ResultCache(directory)
     for i in range(per_writer):
         cache.put(f"p{index}-k{i}", {"writer": index, "i": i})
         cache.put(f"shared-{i % 3}", {"value": i % 3})
@@ -237,7 +249,7 @@ def test_multi_writer_process_stress(tmp_path):
 
 
 def _slow_process_writer(directory, index, per_writer):
-    cache = ResultCache(directory, backend="sharded")
+    cache = ResultCache(directory)
     for i in range(per_writer):
         cache.put(f"p{index}-k{i}", {"writer": index, "i": i})
         time.sleep(0.002)  # stretch the run so compactions overlap appends
@@ -247,7 +259,7 @@ def _killed_compactor(directory, site):
     from repro.resilience.faults import FaultPlan, FaultRule, install_plan
 
     install_plan(FaultPlan([FaultRule(site=site, action="exit")]))
-    ResultCache(directory, backend="sharded").compact()
+    ResultCache(directory).compact()
 
 
 def test_concurrent_writers_survive_killed_compactions(tmp_path):

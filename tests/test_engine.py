@@ -116,21 +116,26 @@ def test_cache_hit_miss_and_persistence(tmp_path):
     assert len(reloaded) == 1
 
 
+def _cache_lines(cache):
+    return sum(1 for path in cache.data_paths() for _ in open(path))
+
+
 def test_cache_last_write_wins_and_compact(tmp_path):
     cache = ResultCache(str(tmp_path))
     cache.put("k", {"value": 1})
     cache.put("k", {"value": 2})
     assert ResultCache(str(tmp_path)).get("k") == {"value": 2}
-    assert sum(1 for _ in open(cache.path)) == 2
+    assert _cache_lines(cache) == 2
     cache.compact()
-    assert sum(1 for _ in open(cache.path)) == 1
+    assert _cache_lines(cache) == 1
+    assert cache.data_paths() == [cache.path]
     assert ResultCache(str(tmp_path)).get("k") == {"value": 2}
 
 
 def test_cache_tolerates_torn_final_line(tmp_path):
     cache = ResultCache(str(tmp_path))
     cache.put("k", {"value": 1})
-    with open(cache.path, "a", encoding="utf-8") as handle:
+    with open(cache.segment_path, "a", encoding="utf-8") as handle:
         handle.write('{"key": "torn", "rec')  # killed mid-write
     reloaded = ResultCache(str(tmp_path))
     assert reloaded.get("k") == {"value": 1}
@@ -140,7 +145,7 @@ def test_cache_tolerates_torn_final_line(tmp_path):
 def test_in_memory_cache_does_not_persist():
     cache = ResultCache(None)
     cache.put("k", {"value": 1})
-    assert cache.path is None
+    assert cache.path is None and cache.segment_path is None
     assert cache.get("k") == {"value": 1}
 
 

@@ -1,6 +1,5 @@
 """AST linter: each rule fires on a broken fixture, suppression works, and
-the CLI front ends (sradlint + the check_imports shim) honour their
-output/exit contracts."""
+the sradlint CLI honours its output/exit contract."""
 
 import json
 import subprocess
@@ -18,7 +17,6 @@ from repro.lint.ast_rules import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRADLINT = REPO_ROOT / "tools" / "sradlint.py"
-CHECK_IMPORTS = REPO_ROOT / "tools" / "check_imports.py"
 
 #: Virtual paths that put fixtures in (or out of) library-code scope.
 LIB = "src/repro/service/fixture.py"
@@ -379,41 +377,7 @@ def test_sradlint_list_rules_and_rule_filter(tmp_path):
     assert proc.returncode == 0
 
 
-# ---------------------------------------------------------------------------
-# tools/check_imports.py shim contract (CI depends on this exact format)
-# ---------------------------------------------------------------------------
-
-def test_check_imports_shim_output_and_exit_status(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import os\n\nVALUE = 1\n")
-    proc = _run(CHECK_IMPORTS, str(bad))
-    assert proc.returncode == 1
-    assert proc.stdout.splitlines() == [
-        f"{bad}:1: unused import: import os (as os)"
-    ]
-    assert proc.stderr.strip() == "check_imports: 1 files, 1 finding(s)"
-
-
-def test_check_imports_shim_clean_exit(tmp_path):
-    good = tmp_path / "good.py"
-    good.write_text("import os\n\nSEP = os.sep\n")
-    proc = _run(CHECK_IMPORTS, str(good))
-    assert proc.returncode == 0
-    assert proc.stdout == ""
-    assert proc.stderr.strip() == "check_imports: 1 files, 0 finding(s)"
-
-
-def test_check_imports_shim_honours_suppression(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import os  # sradlint: disable=ast.dead-import\n")
-    proc = _run(CHECK_IMPORTS, str(bad))
-    assert proc.returncode == 0
-    assert proc.stderr.strip() == "check_imports: 1 files, 0 finding(s)"
-
-
 def test_repo_tree_is_clean_under_both_linters():
-    """The satellite invariant: the tree itself has no violations."""
-    proc = _run(SRADLINT, "src", "tools")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    proc = _run(CHECK_IMPORTS, "src", "tools")
+    """The tree itself has no violations, over the paths CI lints."""
+    proc = _run(SRADLINT, "src", "tests", "tools", "benchmarks", "examples")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -45,17 +46,19 @@ def test_torn_append_self_heals_without_losing_the_record(tmp_path):
 
 
 def test_append_after_another_writers_torn_tail(tmp_path):
-    """A fragment left by a killed foreign writer is sealed, not glued onto."""
+    """A fragment left by a killed foreign writer stays in that writer's
+    segment: a fresh writer appends to its own, so nothing is glued on."""
     cache = ResultCache(str(tmp_path))
     cache.put("live", {"value": 1})
-    with open(cache.path, "a", encoding="utf-8") as handle:
+    with open(cache.segment_path, "a", encoding="utf-8") as handle:
         handle.write('{"key": "torn", "record": {"va')  # no trailing newline
-    sealed = metrics.counter("cache.sealed_tails")
     fresh = ResultCache(str(tmp_path))
     fresh.put("after", {"value": 2})
-    assert metrics.counter("cache.sealed_tails") == sealed + 1
+    assert fresh.segment_path != cache.segment_path
+    torn = metrics.counter("cache.torn_lines")
     reloaded = ResultCache(str(tmp_path))
     assert reloaded.get("live") == {"value": 1}
+    assert metrics.counter("cache.torn_lines") == torn + 1
     assert reloaded.get("after") == {"value": 2}
     assert "torn" not in reloaded
 
@@ -100,24 +103,57 @@ def test_failure_after_durability_is_benign(tmp_path):
 def test_transient_lock_contention_on_sharded_append_is_retried(tmp_path):
     install_plan(FaultPlan([FaultRule(site="cache.lock.acquire")]))
     retries = metrics.counter("cache.append_retries")
-    cache = ResultCache(str(tmp_path), backend="sharded")
+    cache = ResultCache(str(tmp_path))
     cache.put("k", {"value": 1})
     assert metrics.counter("cache.append_retries") == retries + 1
     assert ResultCache(str(tmp_path)).get("k") == {"value": 1}
+
+
+def test_put_during_compaction_is_not_lost(tmp_path):
+    """A put acknowledged while another thread compacts survives the
+    compaction's ``os.replace`` of the base file."""
+    directory = str(tmp_path)
+    ResultCache(directory).put("old", {"value": 0})
+    writer = ResultCache(directory)
+    assert writer.get("old") == {"value": 0}  # loaded before compaction starts
+    install_plan(
+        FaultPlan(
+            [FaultRule(site="cache.compact.merge", action="delay", delay_s=0.3)]
+        )
+    )
+    compactor = threading.Thread(target=ResultCache(directory).compact)
+    compactor.start()
+    try:
+        # Wait until the compactor holds the lock and sits in its delay,
+        # having already read its merge sources.
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(tmp_path / "cache.lock"):
+            assert time.monotonic() < deadline, "compaction never started"
+            time.sleep(0.001)
+        writer.put("new", {"value": 1})
+    finally:
+        compactor.join(30)
+    assert not compactor.is_alive()
+    reloaded = ResultCache(directory)
+    assert reloaded.get("new") == {"value": 1}
+    assert reloaded.get("old") == {"value": 0}
 
 
 # --------------------------------------------------------- compaction kills
 def _compact_with_kill(directory, site):
     """Child body: die (os._exit) exactly at ``site`` during compact()."""
     install_plan(FaultPlan([FaultRule(site=site, action="exit")]))
-    ResultCache(directory, backend="sharded").compact()
+    ResultCache(directory).compact()
 
 
-def _seed_sharded(tmp_path):
+def _seed_base_and_segment(tmp_path):
+    """Three records in the compacted base file, three in a writer segment."""
     base = ResultCache(str(tmp_path))
     for i in range(3):
         base.put(f"base{i}", {"value": i})
-    shard = ResultCache(str(tmp_path), backend="sharded")
+    base.compact()
+    assert [os.path.basename(p) for p in base.data_paths()] == ["results.jsonl"]
+    shard = ResultCache(str(tmp_path))
     for i in range(3):
         shard.put(f"seg{i}", {"value": 10 + i})
     expected = {f"base{i}": {"value": i} for i in range(3)}
@@ -130,7 +166,7 @@ def _seed_sharded(tmp_path):
 )
 def test_compaction_killed_at_any_point_loses_nothing(tmp_path, site):
     """kill -9 anywhere in compact(): the next load sees every record."""
-    expected = _seed_sharded(tmp_path)
+    expected = _seed_base_and_segment(tmp_path)
     ctx = _fork_ctx()
     child = ctx.Process(target=_compact_with_kill, args=(str(tmp_path), site))
     child.start()

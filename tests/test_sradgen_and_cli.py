@@ -1,10 +1,13 @@
 """Tests for the SRAdGen flow facade and the sradgen command-line tool."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.mapping_params import MappingError
 from repro.core.sradgen import generate
+from repro.engine.cache import ResultCache
 from repro.workloads import motion_estimation, patterns
 
 
@@ -194,22 +197,30 @@ def test_cli_campaign_opt_level_override(capsys):
 
 
 def test_cli_compact_cache_drops_superseded_lines(tmp_path, capsys):
-    """--compact-cache rewrites the JSONL file to one line per live key."""
+    """--compact-cache merges the run segments into one line per live key."""
     cache_dir = str(tmp_path / "cache")
-    results = tmp_path / "cache" / "results.jsonl"
+
+    def cache_lines():
+        paths = ResultCache(cache_dir).data_paths()
+        return sum(len(open(path).read().splitlines()) for path in paths)
+
     base = ["--campaign", "smoke", "--cache-dir", cache_dir, "--serial", "--quiet"]
     assert main(base) == 0
-    lines_after_first = len(results.read_text().splitlines())
+    lines_after_first = cache_lines()
     # --force appends a superseding line for every key.
     assert main(base + ["--force"]) == 0
     capsys.readouterr()
-    lines_before = len(results.read_text().splitlines())
+    lines_before = cache_lines()
     assert lines_before == 2 * lines_after_first
 
     assert main(["--compact-cache", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert f"{lines_before} -> {lines_after_first} lines" in out
-    assert len(results.read_text().splitlines()) == lines_after_first
+    assert "2 segment(s) merged" in out
+    assert ResultCache(cache_dir).data_paths() == [
+        os.path.join(cache_dir, "results.jsonl")
+    ]
+    assert cache_lines() == lines_after_first
     # The compacted cache still serves every record.
     assert main(base) == 0
     assert "cache hits 16/16" in capsys.readouterr().out
