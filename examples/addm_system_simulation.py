@@ -18,7 +18,7 @@ Run with::
 """
 
 from repro.core.addm_generator import SragAddressGenerator
-from repro.hdl.simulator import Simulator
+from repro.hdl.compiled import CompiledSimulator
 from repro.memory import AddressDecoderDecoupledMemory
 from repro.workloads import fifo, zoom
 
@@ -29,7 +29,7 @@ FACTOR = 2
 
 def drive(generator: SragAddressGenerator, memory, values=None):
     """Clock a generator's netlist against the ADDM; read or write each cycle."""
-    simulator = Simulator(generator.netlist)
+    simulator = CompiledSimulator(generator.netlist)
     simulator.reset()
     simulator.poke("next", 1)
     streamed = []

@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple
 from repro.core.mapper import map_address_sequence
 from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
+from repro.hdl.compiled import CompiledSimulator, sample_outputs
 from repro.hdl.netlist import Netlist, sanitise_name
-from repro.hdl.simulator import Simulator, sample_outputs
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SragAddressGenerator"]
@@ -126,7 +126,7 @@ class SragAddressGenerator:
         """
         steps = cycles if cycles is not None else self.sequence.length
 
-        def address(sim: Simulator) -> int:
+        def address(sim: CompiledSimulator) -> int:
             row = sim.peek_onehot(self.row_ports.select_lines)
             col = sim.peek_onehot(self.col_ports.select_lines)
             if row is None or col is None:

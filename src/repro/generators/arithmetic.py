@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
+from repro.hdl.compiled import sample_outputs
 from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import sample_outputs
 from repro.synth.logic.minimize import minimize
 from repro.synth.logic.synthesize import sop_to_netlist
 from repro.synth.logic.truth_table import TruthTable

@@ -26,12 +26,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.flow import FlowSpec
 from repro.generators.base import AddressGeneratorDesign
+from repro.hdl.compiled import sample_outputs
 from repro.hdl.components.adder import build_ripple_adder
 from repro.hdl.components.counter import BinaryCounter, build_binary_counter
 from repro.hdl.components.decoder import build_decoder
 from repro.hdl.components.gates import build_and_tree
 from repro.hdl.netlist import Bus, Net, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import sample_outputs
 from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.synth.flow import run_synthesis_flow

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
+from repro.hdl.compiled import CompiledSimulator, sample_outputs
 from repro.hdl.netlist import Bus, Netlist, sanitise_name
-from repro.hdl.simulator import Simulator, sample_outputs
 from repro.synth.fsm import FiniteStateMachine, FsmSynthesisResult, synthesize_fsm
 from repro.workloads.sequences import AddressSequence
 
@@ -97,7 +97,7 @@ class FsmAddressGenerator(AddressGeneratorDesign):
         steps = cycles if cycles is not None else self.sequence.length
         return sample_outputs(self.netlist, steps, self._decode_outputs, next=1)
 
-    def _decode_outputs(self, sim: Simulator) -> int:
+    def _decode_outputs(self, sim: CompiledSimulator) -> int:
         netlist = sim.netlist
         cols = self.sequence.cols
         if self.output_style == "select_lines":

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.generators.base import AddressGeneratorDesign
+from repro.hdl.compiled import CompiledSimulator, sample_outputs
 from repro.hdl.components.shift_register import build_token_shift_register
 from repro.hdl.netlist import Bus, Netlist, NetlistError, sanitise_name
-from repro.hdl.simulator import Simulator, sample_outputs
 from repro.workloads.sequences import AddressSequence
 
 __all__ = ["SfmPointerGenerator"]
@@ -70,7 +70,7 @@ class SfmPointerGenerator(AddressGeneratorDesign):
         netlist = self.netlist
         head_lines = Bus([netlist.outputs[f"head_sel_{i}"] for i in range(self.depth)])
 
-        def head(sim: Simulator) -> int:
+        def head(sim: CompiledSimulator) -> int:
             index = sim.peek_onehot(head_lines)
             if index is None:
                 raise RuntimeError("head pointer lost its token")

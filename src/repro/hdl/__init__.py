@@ -8,11 +8,13 @@ reproduction is built on:
   :class:`~repro.hdl.netlist.Net`, :class:`~repro.hdl.netlist.Bus`).
 * :mod:`repro.hdl.primitives` -- the primitive cell vocabulary (gates,
   multiplexors, flip-flops) with functional models used by the simulator.
-* :mod:`repro.hdl.simulator` -- a cycle-accurate two-phase simulator for
-  netlists built from those primitives (the reference implementation).
 * :mod:`repro.hdl.compiled` -- a levelised, event-driven compiled simulator
-  that matches the reference bit-for-bit but skips quiescent logic cones;
-  the hot path behind power estimation.
+  that skips quiescent logic cones and unchanged flops; it runs every
+  gate-level check (generate-verify and every generator's ``simulate()``,
+  through :func:`~repro.hdl.compiled.sample_outputs`) and power estimation.
+* :mod:`repro.hdl.simulator` -- a cycle-accurate two-phase simulator for
+  netlists built from those primitives: the reference implementation, kept
+  as the oracle the compiled simulator must match bit for bit.
 * :mod:`repro.hdl.components` -- structural generators for the mid-level
   building blocks used by the paper's address generators (binary counters,
   shift registers, decoders, comparators, adders, multiplexor trees).

@@ -1,9 +1,12 @@
-"""Compiled netlist simulator: the reproduction's simulation fast path.
+"""Compiled netlist simulator: the engine of every gate-level run.
 
-The reference :class:`~repro.hdl.simulator.Simulator` re-evaluates every
-combinational cell twice per cycle through per-step pin-name dictionaries,
-which makes it the slowest loop in the repo once campaigns start measuring
-switching activity (256 cycles per design point).  :class:`CompiledSimulator`
+Every gate-level simulation on a hot path runs here: the generate-verify
+check (:func:`sample_outputs`, behind ``SragAddressGenerator.verify`` and
+every generator's ``simulate()``) and the power study
+(:func:`repro.synth.power.estimate_power`).  The reference
+:class:`~repro.hdl.simulator.Simulator` is kept only as the oracle this
+module is tested against.  It re-evaluates every combinational cell twice
+per cycle through per-step pin-name dictionaries; :class:`CompiledSimulator`
 levelises the netlist **once** at construction into a flat evaluation
 program:
 
@@ -15,25 +18,30 @@ program:
 
 Settling is event-driven: a cell is only re-evaluated when one of its input
 nets actually changed, so quiescent logic cones (most of an SRAG, where a
-single token moves per access) are skipped entirely.  :meth:`run` steps many
-cycles in a batch with per-net toggle counting fused into the loop, using
-the same cycle-boundary snapshot semantics as the reference power estimator
--- the compiled simulator is bit-for-bit compatible with the reference
-``Simulator``; ``tests/test_hdl_compiled.py`` checks the equivalence on
-every built-in workload.
+single token moves per access) are skipped entirely.  The clock edge is
+event-driven too: every built-in flop type is idempotent under fixed inputs
+(``f(v, f(v, q)) == f(v, q)``), so an edge only evaluates the flops with an
+input net that changed since their last edge, plus every flop of a type that
+falls back to the generic model (which may not be idempotent).
+
+:meth:`run` steps many cycles in a batch with per-net toggle counting fused
+into the loop, using the same cycle-boundary snapshot semantics as the
+reference power estimator -- the compiled simulator is bit-for-bit
+compatible with the reference ``Simulator``; ``tests/test_hdl_compiled.py``
+checks the equivalence on every built-in style and workload.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.hdl.netlist import Net, Netlist
-from repro.hdl.primitives import compile_comb, compile_flop
+from repro.hdl.primitives import IDEMPOTENT_FLOPS, compile_comb, compile_flop
 from repro.hdl.simulator import SimulationError
 from repro.obs import metrics
 
-__all__ = ["CompiledSimulator"]
+__all__ = ["CompiledSimulator", "sample_outputs"]
 
 
 class CompiledSimulator:
@@ -78,11 +86,17 @@ class CompiledSimulator:
         self._pending: List[bool] = [False] * len(self._op_fn)
         self._heap: List[int] = []
 
+        # Flops: a next-state closure and a state slot each, plus the
+        # net -> flop fan-in index that drives the event-driven clock edge.
+        # Every flop starts dirty (its first edge may leave state 0), and
+        # flops of a generic-fallback type are evaluated on every edge.
         flops = netlist.sequential_cells()
         self._flop_fns = []
         self._flop_q_slot: List[int] = []
         self._flop_index: Dict[str, int] = {}
         self._state: List[int] = [0] * len(flops)
+        self._net_flops: List[List[int]] = [[] for _ in range(n_nets)]
+        self._always_flops: List[int] = []
         for i, cell in enumerate(flops):
             slot_map = {
                 pin: self._slot_of[net.name]
@@ -94,6 +108,11 @@ class CompiledSimulator:
                 self._slot_of[q_net.name] if q_net is not None else -1
             )
             self._flop_index[cell.name] = i
+            for slot in set(slot_map.values()):
+                self._net_flops[slot].append(i)
+            if cell.cell_type not in IDEMPOTENT_FLOPS:
+                self._always_flops.append(i)
+        self._dirty_flops: Set[int] = set(range(len(flops)))
 
         # Toggle bookkeeping for `run`: while counting, the first change of a
         # net within a cycle records its boundary value; at each cycle
@@ -162,9 +181,11 @@ class CompiledSimulator:
 
     def peek_onehot(self, bus: Sequence[Net]) -> Optional[int]:
         """Return the index of the single asserted bit of ``bus`` (or None)."""
-        asserted = [
-            i for i, net in enumerate(bus) if self._values[self._slot_of[net.name]]
-        ]
+        values, slot_of = self._values, self._slot_of
+        try:
+            asserted = [i for i, net in enumerate(bus) if values[slot_of[net.name]]]
+        except KeyError as exc:
+            raise SimulationError(f"net {exc.args[0]!r} is not in the netlist") from None
         if not asserted:
             return None
         if len(asserted) > 1:
@@ -295,6 +316,7 @@ class CompiledSimulator:
             if not pending[dep]:
                 pending[dep] = True
                 heappush(heap, dep)
+        self._dirty_flops.update(self._net_flops[slot])
 
     def _drain(self) -> None:
         heap = self._heap
@@ -305,6 +327,8 @@ class CompiledSimulator:
         op_fn = self._op_fn
         op_out = self._op_out
         op_fanout = self._op_fanout
+        net_flops = self._net_flops
+        dirty = self._dirty_flops
         counting = self._counting
         base = self._interval_base
         processed = 0
@@ -322,6 +346,9 @@ class CompiledSimulator:
                     if not pending[dep]:
                         pending[dep] = True
                         heappush(heap, dep)
+                flops = net_flops[out]
+                if flops:
+                    dirty.update(flops)
         self._settle_events += processed
 
     def _flush_events(self) -> None:
@@ -333,11 +360,18 @@ class CompiledSimulator:
     def _clock(self) -> None:
         values = self._values
         state = self._state
+        fns = self._flop_fns
+        dirty = self._dirty_flops
+        dirty.update(self._always_flops)
         # Snapshot-style simultaneous update: all next states are computed
-        # before any state or Q net is written.
-        nxt = [fn(values, state[i]) for i, fn in enumerate(self._flop_fns)]
+        # before any state or Q net is written.  A flop whose inputs did not
+        # change since its last edge keeps its state (idempotence), so only
+        # the dirty ones are evaluated; the Q writes below re-mark the flops
+        # they feed for the next edge.
+        nxt = [(i, fns[i](values, state[i])) for i in dirty]
+        dirty.clear()
         q_slots = self._flop_q_slot
-        for i, value in enumerate(nxt):
+        for i, value in nxt:
             if value != state[i]:
                 state[i] = value
                 q = q_slots[i]
@@ -355,3 +389,28 @@ class CompiledSimulator:
             if values[slot] != old:
                 toggles[slot] += 1
         base.clear()
+
+
+def sample_outputs(
+    netlist: Netlist,
+    cycles: int,
+    decode: Callable[[CompiledSimulator], int],
+    **stimulus: int,
+) -> List[int]:
+    """Reset ``netlist``, hold ``stimulus`` on its inputs and sample it each cycle.
+
+    The gate-level check shared by every address generator: pulse
+    ``reset``, poke each ``stimulus`` port (``next=1`` advances a
+    generator), then for ``cycles`` cycles settle, record ``decode(sim)`` --
+    the value the current state presents -- and clock one edge.
+    """
+    sim = CompiledSimulator(netlist)
+    sim.reset()
+    for port, value in stimulus.items():
+        sim.poke(port, value)
+    samples: List[int] = []
+    for _ in range(cycles):
+        sim.settle()
+        samples.append(decode(sim))
+        sim.step()
+    return samples

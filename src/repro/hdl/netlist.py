@@ -7,7 +7,8 @@ arithmetic generator) is elaborated into a :class:`Netlist` of primitive
 cells, and the same netlist object is then
 
 * simulated cycle-by-cycle to check that it produces the intended address
-  sequence (:mod:`repro.hdl.simulator`),
+  sequence (:mod:`repro.hdl.compiled`, tested against the reference
+  :mod:`repro.hdl.simulator`),
 * timed and measured for area against the standard-cell library
   (:mod:`repro.synth.timing`, :mod:`repro.synth.area`), and
 * emitted as structural VHDL or Verilog (:mod:`repro.hdl.emit`).

@@ -27,6 +27,7 @@ __all__ = [
     "flop_next_state",
     "compile_comb",
     "compile_flop",
+    "IDEMPOTENT_FLOPS",
 ]
 
 # A combinational evaluation function maps input pin values to output pin values.
@@ -367,6 +368,16 @@ def compile_comb(cell_type: str, in_slots: Sequence[int]) -> Callable[[Sequence[
         return _bit(_fn({p: v[s] for p, s in zip(_pins, _slots)})[_out])
 
     return generic
+
+
+#: Flop types :func:`compile_flop` specialises.  Each is idempotent under
+#: fixed inputs -- ``f(v, f(v, q)) == f(v, q)`` -- so a flop whose input nets
+#: did not change since its last clock edge cannot change state; the compiled
+#: simulator skips such flops.  Every other sequential type falls back to the
+#: generic model and is evaluated on every edge.
+IDEMPOTENT_FLOPS = frozenset(
+    ("DFF", "DFF_RST", "DFF_SET", "DFF_EN", "DFF_EN_RST", "DFF_EN_SET")
+)
 
 
 def compile_flop(cell_type: str, slot_of: Mapping[str, int]) -> Callable[[Sequence[int], int], int]:

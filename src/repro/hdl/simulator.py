@@ -1,22 +1,24 @@
-"""Cycle-accurate two-phase simulator for primitive-cell netlists.
+"""Cycle-accurate two-phase reference simulator for primitive-cell netlists.
 
 The simulator evaluates the combinational cells of a :class:`~repro.hdl.netlist.Netlist`
 in topological order, then updates every flip-flop simultaneously on a
-simulated rising clock edge.  It is used throughout the reproduction to check
-that elaborated address generators (SRAG, CntAG, FSM-based, SFM pointers)
-actually produce the address or select-line sequence the paper expects before
-their area and delay are measured.
+simulated rising clock edge.  It is the reproduction's *oracle*: the
+straightforward model that :class:`~repro.hdl.compiled.CompiledSimulator` --
+which runs the generate-verify check and every generator's ``simulate()`` --
+is tested against bit for bit.  Its remaining users are the tests, the
+replay of CEC counterexamples (:mod:`repro.verify.cec`) and
+``estimate_power(engine="reference")``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.hdl.netlist import Cell, Net, Netlist
 from repro.hdl.primitives import combinational_eval, flop_next_state
 from repro.obs import metrics
 
-__all__ = ["Simulator", "SimulationError", "sample_outputs"]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(Exception):
@@ -101,7 +103,11 @@ class Simulator:
         :class:`SimulationError` when more than one bit is asserted — the
         condition the paper warns would corrupt an ADDM array.
         """
-        asserted = [i for i, net in enumerate(bus) if self._values[net.name]]
+        values = self._values
+        try:
+            asserted = [i for i, net in enumerate(bus) if values[net.name]]
+        except KeyError as exc:
+            raise SimulationError(f"net {exc.args[0]!r} is not in the netlist") from None
         if not asserted:
             return None
         if len(asserted) > 1:
@@ -196,28 +202,3 @@ class Simulator:
                 samples.append(self.peek_bus(output_bus))
             self.step()
         return samples
-
-
-def sample_outputs(
-    netlist: Netlist,
-    cycles: int,
-    decode: Callable[[Simulator], int],
-    **stimulus: int,
-) -> List[int]:
-    """Reset ``netlist``, hold ``stimulus`` on its inputs and sample it each cycle.
-
-    The gate-level check shared by every address generator: pulse
-    ``reset``, poke each ``stimulus`` port (``next=1`` advances a
-    generator), then for ``cycles`` cycles settle, record ``decode(sim)`` --
-    the value the current state presents -- and clock one edge.
-    """
-    sim = Simulator(netlist)
-    sim.reset()
-    for port, value in stimulus.items():
-        sim.poke(port, value)
-    samples: List[int] = []
-    for _ in range(cycles):
-        sim.settle()
-        samples.append(decode(sim))
-        sim.step()
-    return samples

@@ -1,16 +1,22 @@
 """Equivalence and unit tests for the compiled (levelised) simulator.
 
-The compiled simulator is only allowed to exist because it is bit-for-bit
-identical to the reference two-phase simulator; these tests pin that down
-on hand-built netlists and on every built-in workload's generators.
+The compiled simulator runs every gate-level check of the generate path and
+every generator's ``simulate()``; it is only allowed to do so because it is
+bit-for-bit identical to the reference two-phase simulator, which is kept
+as the oracle.  These tests pin that down on hand-built netlists and on
+every built-in style and workload.
 """
 
 import pytest
 
-from repro.engine.jobs import build_design
+from repro.core.sradgen import generate
+from repro.engine.jobs import STYLE_VARIANTS, build_design
+from repro.hdl import compiled
 from repro.hdl.compiled import CompiledSimulator
-from repro.hdl.netlist import Bus, Netlist
+from repro.hdl.netlist import Bus, Netlist, NetlistError
+from repro.hdl.primitives import PRIMITIVES, CellSpec
 from repro.hdl.simulator import SimulationError, Simulator
+from repro.obs import metrics
 from repro.synth.power import estimate_power
 from repro.workloads.registry import available_workloads, build_pattern
 
@@ -186,6 +192,37 @@ def test_error_paths_match_reference():
             sim.peek_bus(Bus([foreign]))
         with pytest.raises(SimulationError):
             sim.peek(foreign)
+        with pytest.raises(SimulationError, match="foreign"):
+            sim.peek_onehot(Bus([foreign]))
+
+
+def test_non_idempotent_flop_type_is_clocked_on_every_edge(monkeypatch):
+    """A type outside the built-in flops is evaluated on every edge.
+
+    A toggle flop with ``T`` tied to 1 never sees an input change, so an
+    edge that only evaluated flops with changed inputs would freeze it
+    after the first toggle.
+    """
+
+    def toggle(pins):
+        return {"Q": pins["Q"] ^ pins["T"]}
+
+    monkeypatch.setitem(
+        PRIMITIVES,
+        "TFF",
+        CellSpec("TFF", ("T", "CLK"), ("Q",), True, toggle, "toggle flip-flop"),
+    )
+    netlist = Netlist("tff")
+    clk = netlist.add_input("clk")
+    q = netlist.new_net("q")
+    netlist.add_cell("TFF", T=netlist.const(1), CLK=clk, Q=q)
+    netlist.add_output("q_out", q)
+    for sim in (Simulator(netlist), CompiledSimulator(netlist)):
+        values = []
+        for _ in range(6):
+            values.append(sim.peek("q_out"))
+            sim.step()
+        assert values == [0, 1, 0, 1, 0, 1], type(sim).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +282,82 @@ def test_run_sequence_matches_reference(style, variant):
     assert CompiledSimulator(netlist).run_sequence(bus, cycles) == Simulator(
         netlist
     ).run_sequence(bus, cycles)
+
+
+# ---------------------------------------------------------------------------
+# Every style x workload: simulate() and flop state against the oracle
+# ---------------------------------------------------------------------------
+
+def _applicable_grid(sizes):
+    """Every (style, variant, workload, size) the generators can build."""
+    for style, variant in STYLE_VARIANTS:
+        for workload in available_workloads():
+            for size in sizes:
+                try:
+                    build_design(build_pattern(workload, size, size), style, variant)
+                except NetlistError:  # the SFM only implements FIFO access
+                    continue
+                yield style, variant, workload, size
+
+
+@pytest.mark.parametrize("style,variant,workload,size", list(_applicable_grid((4, 8))))
+def test_simulate_and_flop_state_match_reference(
+    style, variant, workload, size, monkeypatch
+):
+    design = build_design(build_pattern(workload, size, size), style, variant)
+    netlist = design.netlist
+    # The whole sequence and one edge past its end (the wrap back to the
+    # first address), capped so the dense FSM netlists stay quick on the
+    # reference engine.
+    cycles = min(design.sequence.length + 1, 65)
+    compiled_samples = design.simulate(cycles)
+    # The same sampling loop and decoder, run on the reference engine.
+    with monkeypatch.context() as patch:
+        patch.setattr(compiled, "CompiledSimulator", Simulator)
+        reference_samples = design.simulate(cycles)
+    assert compiled_samples == reference_samples
+
+    ref, fast = Simulator(netlist), CompiledSimulator(netlist)
+    for sim in (ref, fast):
+        sim.reset()
+        if "next" in netlist.inputs:
+            sim.poke("next", 1)
+        sim.step(cycles)
+    for flop in netlist.sequential_cells():
+        assert fast.flop_state(flop.name) == ref.flop_state(flop.name), flop.name
+
+
+# ---------------------------------------------------------------------------
+# Call counts: the gate-level checks run on the compiled engine only
+# ---------------------------------------------------------------------------
+
+def _sim_cycles(action):
+    before = metrics.snapshot()
+    action()
+    delta = metrics.counters_since(before)
+    return delta.get("sim.reference.cycles", 0), delta.get("sim.compiled.cycles", 0)
+
+
+def test_generate_verify_runs_on_compiled_engine():
+    sequence = build_pattern("dct", 16, 16).to_sequence()
+    reference, compiled_cycles = _sim_cycles(lambda: generate(sequence, verify=True))
+    assert reference == 0
+    # One edge per sequence position plus the reset edge.
+    assert compiled_cycles == sequence.length + 1
+
+
+_ONE_PER_STYLE = (
+    ("SRAG", "two-hot"),
+    ("CntAG", "decoders"),
+    ("ArithAG", "binary"),
+    ("SFM", "pointers"),
+    ("FSM", "binary"),
+)
+
+
+@pytest.mark.parametrize("style,variant", _ONE_PER_STYLE)
+def test_simulate_runs_on_compiled_engine(style, variant):
+    design = build_design(build_pattern("fifo", 4, 4), style, variant)
+    reference, compiled_cycles = _sim_cycles(design.simulate)
+    assert reference == 0
+    assert compiled_cycles == design.sequence.length + 1

@@ -25,6 +25,12 @@ disarmed :mod:`repro.resilience.faults` fault points that now sit on the
 cache/scheduler/service hot paths, asserted against the same floor the
 test suite pins (they must stay one global load + compare).
 
+The **generate_default scenario** times the default
+``sradgen --workload dct --rows N --cols N --report`` path -- mapping,
+elaboration, the gate-level verify on the compiled simulator, VHDL and
+synthesis -- at 16/64/128, records the simulated cycles per run and fails
+if the reference simulator runs any of them.
+
 Usage::
 
     PYTHONPATH=src python tools/bench.py             # full sizes (~1 min)
@@ -71,9 +77,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.sradgen import generate
 from repro.engine import CampaignRunner, ResultCache, build_campaign
 from repro.engine.jobs import build_design
-from repro.obs import Tracer, collect_phase_totals, get_tracer, set_tracer
+from repro.obs import Tracer, collect_phase_totals, get_tracer, metrics, set_tracer
 from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
 from repro.synth.fsm.synthesis import next_state_tables
 from repro.synth.logic.minimize import (
@@ -209,6 +216,35 @@ def bench_fsm_synthesis_effort(smoke: bool) -> Dict[str, object]:
         "wall_s": sum(entry["wall_s"] for entry in per_n.values()),
         "repeats": 3,
         "per_length": per_n,
+    }
+
+
+def bench_generate_default(smoke: bool) -> Dict[str, object]:
+    """The default ``--workload dct --report`` generate path per array size."""
+    sizes = (16, 64) if smoke else (16, 64, 128)
+    repeats = 3
+    per_size = {}
+    for size in sizes:
+
+        def run(size=size):
+            sequence = build_pattern("dct", size, size).to_sequence()
+            return generate(sequence, synthesize=True)
+
+        before = metrics.snapshot()
+        wall, _result = _best_of(run, repeats)
+        cycles = metrics.counters_since(before)
+        reference_cycles = cycles.get("sim.reference.cycles", 0)
+        assert reference_cycles == 0, (
+            f"{reference_cycles} reference-simulator cycles on the generate path"
+        )
+        per_size[f"{size}x{size}"] = {
+            "wall_s": wall,
+            "sim_cycles_per_run": cycles.get("sim.compiled.cycles", 0) // repeats,
+        }
+    return {
+        "wall_s": sum(entry["wall_s"] for entry in per_size.values()),
+        "repeats": repeats,
+        "per_size": per_size,
     }
 
 
@@ -574,6 +610,7 @@ def run_benchmarks(smoke: bool, only: Optional[str] = None) -> Dict[str, object]
         "qm_fsm_tables": lambda: bench_qm_fsm_tables(smoke),
         "qm_cover_selection": lambda: bench_qm_cover_selection(smoke),
         "fsm_synthesis_effort": lambda: bench_fsm_synthesis_effort(smoke),
+        "generate_default": lambda: bench_generate_default(smoke),
         "opt_pipeline": lambda: bench_opt_pipeline(smoke),
         "campaign": lambda: bench_campaign(smoke),
         "cec": lambda: bench_cec(smoke),
@@ -614,7 +651,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", default=None, metavar="SCENARIO",
         help="run a single scenario (qm_fsm_tables, qm_cover_selection, "
-             "fsm_synthesis_effort, opt_pipeline, campaign, cec, "
+             "fsm_synthesis_effort, generate_default, opt_pipeline, campaign, cec, "
              "service_load, resilience_overhead)",
     )
     parser.add_argument(
