@@ -2,16 +2,19 @@
 
 ``estimate_power`` simulates 256 cycles per design point, which made the
 dict-driven reference simulator the slowest loop in the repo once the
-``power`` campaign landed.  This benchmark measures the same measurement --
-energy per access of a 16x16 SRAG -- through both engines, checks they
-agree bit-for-bit, and asserts the compiled engine's >= 5x speedup.
+``power`` campaign landed.  This benchmark times the toggle measurement of
+a 16x16 SRAG through both engines -- the reference oracle
+``_reference_toggles`` against a full ``estimate_power`` -- checks the
+toggle counts agree bit-for-bit, and asserts the compiled engine's >= 5x
+speedup.  The reference side skips the energy sum, so the ratio slightly
+understates the speedup.
 """
 
 import time
 
 from repro.analysis.reporting import format_table
 from repro.generators.srag_design import SragDesign
-from repro.synth.power import estimate_power
+from repro.synth.power import _reference_toggles, estimate_power
 from repro.workloads.registry import build_pattern
 
 CYCLES = 256
@@ -35,7 +38,7 @@ def test_power_vs_compiled(benchmark, print_report):
     netlist = _srag_netlist(16)
 
     ref_s, reference = _time(
-        lambda: estimate_power(netlist, cycles=CYCLES, engine="reference")
+        lambda: _reference_toggles(netlist, CYCLES, "next", "reset")
     )
     cmp_s, compiled = _time(lambda: estimate_power(netlist, cycles=CYCLES))
     speedup = ref_s / cmp_s
@@ -50,8 +53,7 @@ def test_power_vs_compiled(benchmark, print_report):
         format_table(
             ["engine", "time (ms)", "energy/access (fJ)", "toggles"],
             [
-                ["reference", ref_s * 1e3, reference.energy_per_access_fj,
-                 reference.total_toggles],
+                ["reference", ref_s * 1e3, "-", sum(reference.values())],
                 ["compiled", cmp_s * 1e3, compiled.energy_per_access_fj,
                  compiled.total_toggles],
                 ["speedup", speedup, 1.0, 1],
@@ -61,8 +63,7 @@ def test_power_vs_compiled(benchmark, print_report):
     )
 
     # Same measurement...
-    assert compiled.toggle_counts == reference.toggle_counts
-    assert compiled.switching_energy_fj == reference.switching_energy_fj
+    assert compiled.toggle_counts == reference
     # ...much faster.  Measured ~12x on the development machine; 5x is the
     # floor enforced here with headroom for noisy CI runners.
     assert speedup >= 5.0

@@ -43,7 +43,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.analysis.explorer import explore
 from repro.core.mapping_params import MappingError
@@ -83,8 +83,35 @@ def _bounded_int(minimum: int):
     return convert
 
 
-_opt_level = _bounded_int(0)
-_fsm_states = _bounded_int(1)
+_non_negative_int = _bounded_int(0)
+_positive_int = _bounded_int(1)
+
+
+def _non_negative_float(text: str) -> float:
+    """Argparse type: a number no smaller than 0 (NaN rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """Argparse type: a TCP port number, 0-65535."""
+    port = _non_negative_int(text)
+    if port > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535, got {port}")
+    return port
+
+
+def _parse_address(text: str) -> Tuple[str, int]:
+    """Argparse type: split a ``HOST:PORT`` --connect argument."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise argparse.ArgumentTypeError(f"expects HOST:PORT, got {text!r}")
+    return host, _port(port)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
             "shared scheduler and cache (see --host/--port/--cache-dir)"
         ),
     )
-    parser.add_argument("--rows", type=int, help="memory array rows")
-    parser.add_argument("--cols", type=int, help="memory array columns")
+    parser.add_argument("--rows", type=_positive_int, help="memory array rows")
+    parser.add_argument("--cols", type=_positive_int, help="memory array columns")
     parser.add_argument("--vhdl", help="write generated VHDL to this file")
     parser.add_argument("--verilog", help="write generated Verilog to this file")
     parser.add_argument(
@@ -165,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--opt-level",
-        type=_opt_level,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help=(
@@ -177,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-fsm-states",
-        type=_fsm_states,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -220,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--connect",
+        type=_parse_address,
         metavar="HOST:PORT",
         help=(
             "run --campaign against a remote sradgen --serve instance "
@@ -228,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="worker processes for campaign evaluation (default: min(cpus, 8))",
     )
@@ -255,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="port for --serve to bind (default 0: pick a free port and print it)",
     )
@@ -271,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--retry-max",
-        type=int,
+        type=_non_negative_int,
         metavar="N",
         help=(
             "retry transient evaluation failures up to N times with "
@@ -280,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--retry-backoff",
-        type=float,
+        type=_non_negative_float,
         default=0.05,
         metavar="SECONDS",
         help="base backoff before the first retry, doubling per attempt (default 0.05)",
     )
     resilience.add_argument(
         "--rebuild-budget",
-        type=int,
+        type=_non_negative_int,
         default=2,
         metavar="N",
         help=(
@@ -428,17 +456,6 @@ def _cache_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _parse_address(text: str) -> tuple:
-    """Split a ``HOST:PORT`` --connect argument."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"--connect expects HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SystemExit(f"--connect expects a numeric port, got {port!r}") from None
-
-
 def _run_campaign(args: argparse.Namespace) -> int:
     campaign = build_campaign(args.campaign)
     overrides = cli_overrides(args)
@@ -466,7 +483,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         # the campaign ran locally.
         from repro.service.client import ServiceUnavailable, run_campaign_remote
 
-        host, port = _parse_address(args.connect)
+        host, port = args.connect
         print(f"campaign {args.campaign!r}: {len(campaign)} jobs, remote {host}:{port}")
         try:
             result = run_campaign_remote(
@@ -650,12 +667,17 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     if args.fault_plan:
         from repro.resilience.faults import FAULTS_ENV_VAR, FaultPlan, install_plan
 
-        install_plan(FaultPlan.load(args.fault_plan))
+        try:
+            plan = FaultPlan.load(args.fault_plan)
+        except (OSError, ValueError) as error:
+            parser.error(f"argument --fault-plan: {error}")
+        install_plan(plan)
         # Pool workers arm the same plan through the inherited environment.
         os.environ[FAULTS_ENV_VAR] = args.fault_plan
+    status = 1
     try:
         with span("sradgen", detail=_mode(args)):
-            return _execute(args, parser)
+            status = _execute(args, parser)
     finally:
         # Observability output is emitted even when the action fails:
         # a partial trace of a crashed campaign is exactly when you want one.
@@ -664,8 +686,13 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             if rendered:
                 print(rendered, file=sys.stderr)
         if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(metrics.to_json() + "\n")
+            try:
+                with open(args.metrics_out, "w", encoding="utf-8") as handle:
+                    handle.write(metrics.to_json() + "\n")
+            except OSError as error:
+                print(f"sradgen: cannot write --metrics-out: {error}", file=sys.stderr)
+                status = status or 1
+    return status
 
 
 def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -689,7 +716,12 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.rows is None or args.cols is None:
         parser.error("--rows and --cols are required with --input/--workload")
-    sequence = _load_sequence(args)
+    try:
+        sequence = _load_sequence(args)
+    except (OSError, UnicodeDecodeError) as error:
+        parser.error(f"argument --input: {error}")
+    except ValueError as error:  # an address or shape the array cannot hold
+        parser.error(str(error))
     # The CLI builds exactly one FlowSpec and hands it down; every flow flag
     # is one namespace attribute named after its spec field.
     spec = FlowSpec.from_cli_args(args)

@@ -6,8 +6,8 @@ simulated rising clock edge.  It is the reproduction's *oracle*: the
 straightforward model that :class:`~repro.hdl.compiled.CompiledSimulator` --
 which runs the generate-verify check and every generator's ``simulate()`` --
 is tested against bit for bit.  Its remaining users are the tests, the
-replay of CEC counterexamples (:mod:`repro.verify.cec`) and
-``estimate_power(engine="reference")``.
+replay of CEC counterexamples (:mod:`repro.verify.cec`) and the power
+oracle ``repro.synth.power._reference_toggles``.
 """
 
 from __future__ import annotations

@@ -242,41 +242,24 @@ def span(name: str, detail: str = "") -> Union[Span, _NullSpan]:
     return fresh
 
 
-class _TimedPhase:
-    """A span that additionally folds its wall time into a timings dict."""
-
-    __slots__ = ("name", "timings", "_span", "_start")
-
-    def __init__(self, name: str, timings: Dict[str, float], detail: str):
-        self.name = name
-        self.timings = timings
-        self._span = span(name, detail)
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self._span.__enter__()
-
-    def __exit__(self, *exc_info) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self.timings[self.name] = self.timings.get(self.name, 0.0) + elapsed
-        return self._span.__exit__(*exc_info)
-
-
 def phase(
     name: str,
-    timings: Optional[Dict[str, float]] = None,
+    timings: object = None,
     detail: str = "",
-) -> Union[Span, _NullSpan, _TimedPhase]:
-    """A span that, given a ``timings`` dict, also records its wall time there.
+) -> Union[Span, _NullSpan]:
+    """Open a span exactly as :func:`span` does.
 
-    The flow profiler passes a dict only when profiling is wanted (tracing
-    enabled); with ``timings=None`` this is exactly :func:`span`, including
-    the zero-allocation disabled path.
+    Spans are the one timing mechanism: a per-stage breakdown is
+    :func:`collect_phase_totals` over the span tree.  ``phase`` keeps its
+    ``(name, timings, detail)`` call shape for callers that wrap it by
+    attribute; ``timings`` must be ``None``.
     """
-    if timings is None:
-        return span(name, detail)
-    return _TimedPhase(name, timings, detail)
+    if timings is not None:
+        raise TypeError(
+            "phase() no longer collects a timings dict; read the stage "
+            "breakdown from the span tree with collect_phase_totals()"
+        )
+    return span(name, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ in the reproduction.
 
 The inner loop runs on :class:`~repro.hdl.compiled.CompiledSimulator`, which
 counts toggles inside its levelised event-driven stepping loop; the original
-dict-driven measurement survives as ``engine="reference"`` and is the oracle
-the compiled path is tested against.
+dict-driven measurement survives as ``_reference_toggles``, the oracle the
+compiled path is tested against.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ def estimate_power(
     frequency_mhz: float = 100.0,
     next_port: str = "next",
     reset_port: str = "reset",
-    engine: str = "compiled",
 ) -> PowerReport:
     """Estimate dynamic power by simulating ``netlist`` for ``cycles`` cycles.
 
@@ -173,22 +172,12 @@ def estimate_power(
         is fine -- activities are periodic in the address sequence length).
     frequency_mhz:
         Clock frequency used to convert energy per cycle into average power.
-    engine:
-        ``"compiled"`` (default) runs the levelised event-driven simulator;
-        ``"reference"`` runs the original dict-driven simulator.  The two
-        produce identical toggle counts -- the reference path exists as the
-        oracle for the compiled one.
     """
     if cycles is None:
         cycles = 256
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
-    if engine == "compiled":
-        toggles = _compiled_toggles(netlist, cycles, next_port, reset_port)
-    elif engine == "reference":
-        toggles = _reference_toggles(netlist, cycles, next_port, reset_port)
-    else:
-        raise ValueError(f"unknown simulation engine {engine!r}")
+    toggles = _compiled_toggles(netlist, cycles, next_port, reset_port)
 
     # Energy: E = C * V^2 per full toggle (charging + discharging averaged to
     # one CV^2 per transition pair; we charge 0.5 C V^2 per transition).

@@ -1,4 +1,4 @@
-"""Tests for the observability stack: tracing, metrics, logging, profiling.
+"""Tests for the observability stack: tracing, metrics and logging.
 
 The CI matrix runs the whole suite twice -- once plain and once with
 ``SRADGEN_TRACE=1`` -- so every test here manages the global tracer state
@@ -150,18 +150,17 @@ def test_enable_tracing_toggles_in_place(disabled_tracer):
     assert [root.name for root in disabled_tracer.roots] == ["now.recorded"]
 
 
-def test_phase_collects_wall_time_only_when_asked(private_tracer):
-    timings = {}
-    with phase("flow.timing", timings):
+def test_phase_is_a_span_and_rejects_a_timings_dict(private_tracer):
+    with phase("flow.timing", None, "detail"):
         pass
-    with phase("flow.timing", timings):
+    with span("flow.timing", "detail"):
         pass
-    with phase("flow.area"):  # span-only form
-        pass
-    assert set(timings) == {"flow.timing"}
-    assert timings["flow.timing"] >= 0.0
-    names = [root.name for root in private_tracer.roots]
-    assert names == ["flow.timing", "flow.timing", "flow.area"]
+    via_phase, via_span = private_tracer.roots
+    assert type(via_phase) is type(via_span)
+    assert (via_phase.name, via_phase.detail) == (via_span.name, via_span.detail)
+    with pytest.raises(TypeError, match="collect_phase_totals"):
+        phase("flow.area", {})
+    assert len(private_tracer.roots) == 2
 
 
 def test_collect_phase_totals_filters_by_prefix(private_tracer):
@@ -253,7 +252,7 @@ def test_log_writes_structured_lines_to_stderr(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Flow profiling and the cross-process collector
+# Stage breakdown and the cross-process collector
 # ---------------------------------------------------------------------------
 
 JOB = EvalJob("fifo", 4, 4, "SRAG", "two-hot")
@@ -262,16 +261,26 @@ JOB = EvalJob("fifo", 4, 4, "SRAG", "two-hot")
 FSM_JOB = EvalJob("fifo", 4, 4, "FSM", "binary")
 
 
-def test_phase_timings_populated_only_while_tracing(private_tracer):
+def test_evaluate_job_span_carries_the_stage_breakdown(private_tracer):
     record = evaluate_job(JOB)
     assert record.status == "ok"
-    assert "flow.timing" in record.phase_timings
-    assert "job.synthesize" in record.phase_timings
-    assert all(v >= 0.0 for v in record.phase_timings.values())
+    assert [root.name for root in private_tracer.roots] == ["evaluate_job"]
+    totals = collect_phase_totals(private_tracer.roots)
+    assert {
+        "job.pattern",
+        "job.mapping",
+        "job.synthesize",
+        "flow.elaborate",
+        "flow.validate",
+        "flow.buffer",
+        "flow.timing",
+        "flow.area",
+    } <= set(totals)
+    assert all(v >= 0.0 for v in totals.values())
 
-    set_tracer(Tracer(enabled=False))
-    cold = evaluate_job(JOB)
-    assert cold.phase_timings == {}
+    cold_tracer = set_tracer(Tracer(enabled=False))
+    assert evaluate_job(JOB).status == "ok"
+    assert cold_tracer.roots == []
 
 
 def test_eval_record_dict_is_byte_identical_with_tracing_on_and_off(
@@ -282,14 +291,13 @@ def test_eval_record_dict_is_byte_identical_with_tracing_on_and_off(
     enable_tracing()
     traced = evaluate_job(JOB)
     enable_tracing(False)
-    assert traced.phase_timings and not plain.phase_timings
+    assert [root.name for root in disabled_tracer.roots] == ["evaluate_job"]
     # duration_s is wall clock and legitimately differs; normalise it.
     plain = dataclasses.replace(plain, duration_s=0.0)
     traced = dataclasses.replace(traced, duration_s=0.0)
     assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
         traced.to_dict(), sort_keys=True
     )
-    assert "phase_timings" not in plain.to_dict()
 
 
 def test_worker_batch_ships_spans_and_counter_deltas_back(private_tracer):

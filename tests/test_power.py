@@ -6,7 +6,7 @@ from repro.core.addm_generator import SragAddressGenerator
 from repro.generators import CounterBasedAddressGenerator
 from repro.hdl.components import build_binary_counter
 from repro.hdl.netlist import Netlist
-from repro.synth.power import PowerReport, estimate_power
+from repro.synth.power import PowerReport, _reference_toggles, estimate_power
 from repro.workloads import motion_estimation
 
 
@@ -56,19 +56,11 @@ def test_power_rejects_bad_cycle_count():
         estimate_power(_counter_netlist(8), cycles=0)
 
 
-def test_power_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        estimate_power(_counter_netlist(8), cycles=8, engine="spice")
-
-
 def test_power_engines_agree_exactly():
     """The compiled fast path is bit-for-bit the reference measurement."""
     netlist = _counter_netlist(32)
-    reference = estimate_power(netlist, cycles=96, engine="reference")
-    compiled = estimate_power(netlist, cycles=96, engine="compiled")
-    assert compiled.toggle_counts == reference.toggle_counts
-    assert compiled.switching_energy_fj == reference.switching_energy_fj
-    assert compiled.clock_energy_fj == reference.clock_energy_fj
+    reference = _reference_toggles(netlist, 96, "next", "reset")
+    assert estimate_power(netlist, cycles=96).toggle_counts == reference
 
 
 def test_srag_vs_cntag_power_comparison_runs():

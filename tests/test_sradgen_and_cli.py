@@ -107,6 +107,60 @@ def test_cli_rejects_malformed_address_file(tmp_path):
         main(["--input", str(address_file), "--rows", "2", "--cols", "2"])
 
 
+_ADDRESSES = ["--input", "{tmp}/ok.txt", "--rows", "4", "--cols", "4"]
+#: Hostile CLI arguments: each must end in one stderr message and a non-zero
+#: exit, never a traceback.  ``{tmp}`` is the test's scratch directory, which
+#: holds ``ok.txt`` (a valid trace), ``binary.txt`` (not UTF-8), ``subdir/``
+#: and ``plan.json`` (a fault plan with an unknown field).
+_HOSTILE_ARGUMENTS = {
+    "rows-zero": ["--workload", "dct", "--rows", "0", "--cols", "4"],
+    "rows-negative": ["--input", "{tmp}/ok.txt", "--rows", "-1", "--cols", "4"],
+    "cols-zero": ["--workload", "dct", "--rows", "4", "--cols", "0"],
+    "workers-negative": ["--workload", "dct", "--rows", "4", "--cols", "4",
+                         "--workers", "-3"],
+    "retry-max-negative": ["--campaign", "smoke", "--retry-max", "-1"],
+    "rebuild-budget-negative": ["--campaign", "smoke", "--rebuild-budget", "-1"],
+    "retry-backoff-negative": ["--campaign", "smoke", "--retry-max", "1",
+                               "--retry-backoff", "-1"],
+    "port-too-large": ["--serve", "--port", "70000"],
+    "connect-port-too-large": ["--campaign", "smoke", "--connect",
+                               "127.0.0.1:70000"],
+    "input-missing": ["--input", "{tmp}/missing.txt", "--rows", "4", "--cols", "4"],
+    "input-directory": ["--input", "{tmp}/subdir", "--rows", "4", "--cols", "4"],
+    "input-not-utf8": ["--input", "{tmp}/binary.txt", "--rows", "4", "--cols", "4"],
+    "input-address-outside-array": ["--input", "{tmp}/ok.txt", "--rows", "2",
+                                    "--cols", "2"],
+    "fault-plan-missing": _ADDRESSES + ["--fault-plan", "{tmp}/missing.json"],
+    "fault-plan-unknown-field": _ADDRESSES + ["--fault-plan", "{tmp}/plan.json"],
+    "metrics-out-unwritable": _ADDRESSES + ["--metrics-out",
+                                            "{tmp}/missing/metrics.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(_HOSTILE_ARGUMENTS.values()), ids=list(_HOSTILE_ARGUMENTS)
+)
+def test_cli_rejects_hostile_arguments_without_a_traceback(argv, tmp_path, capsys):
+    (tmp_path / "ok.txt").write_text("\n".join(str(i) for i in range(16)) + "\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe0\n")
+    (tmp_path / "subdir").mkdir()
+    (tmp_path / "plan.json").write_text('{"rules": [], "bogus": 1}')
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    try:
+        status = main(argv)
+    except SystemExit as exit:
+        status = exit.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if "--metrics-out" in argv:
+        assert status == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("sradgen: cannot write --metrics-out:")
+    else:
+        assert status == 2
+        assert "sradgen: error:" in err
+
+
 def test_cli_explore(capsys):
     exit_code = main(["--workload", "fifo", "--rows", "4", "--cols", "4", "--explore"])
     captured = capsys.readouterr()
