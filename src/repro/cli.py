@@ -58,6 +58,7 @@ from repro.engine.sweep import (
     build_campaign,
     campaign_description,
 )
+from repro.resilience.faults import FAULTS_ENV_VAR, FaultPlan, install_plan
 from repro.workloads.loopnest import AffineAccessPattern
 from repro.workloads.registry import WORKLOADS, build_pattern
 from repro.workloads.sequences import AddressSequence
@@ -393,7 +394,7 @@ def _count_cache_lines(cache: ResultCache) -> int:
     for path in cache.data_paths():
         if not os.path.exists(path):
             continue
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             total += sum(1 for line in handle if line.strip())
     return total
 
@@ -665,15 +666,19 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     if args.trace:
         enable_tracing()
     if args.fault_plan:
-        from repro.resilience.faults import FAULTS_ENV_VAR, FaultPlan, install_plan
-
         try:
             plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as error:
+        except ValueError as error:
             parser.error(f"argument --fault-plan: {error}")
         install_plan(plan)
         # Pool workers arm the same plan through the inherited environment.
         os.environ[FAULTS_ENV_VAR] = args.fault_plan
+    elif os.environ.get(FAULTS_ENV_VAR):
+        # A bad plan is skipped when the import arms it; name the fault here.
+        try:
+            FaultPlan.load(os.environ[FAULTS_ENV_VAR])
+        except ValueError as error:
+            parser.error(f"{FAULTS_ENV_VAR}: {error}")
     status = 1
     try:
         with span("sradgen", detail=_mode(args)):

@@ -226,18 +226,23 @@ class ResultCache:
     def _read_lines(path: str, sink: Dict[str, dict]) -> None:
         """Fold one JSONL file into ``sink`` (last line per key wins).
 
-        A line that does not decode -- a crash mid-append leaves a torn
-        trailing line -- is warned about and skipped, keeping the live
-        prefix instead of poisoning the whole cache.
+        A line that is not a ``{"key": str, "record": dict}`` entry -- a
+        crash mid-append leaves a torn trailing line; a damaged disk leaves
+        bytes that are not UTF-8 -- is warned about and skipped, keeping the
+        live records instead of poisoning the whole cache.  The file is read
+        as bytes so a bad byte costs one line, not the rest of the file.
         """
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as error:
+                    entry = json.loads(line.decode())
+                    key, record = entry.get("key"), entry.get("record")
+                    if not (isinstance(key, str) and isinstance(record, dict)):
+                        raise ValueError("not a key/record entry")
+                except (ValueError, AttributeError) as error:
                     metrics.incr("cache.torn_lines")
                     log.warning(
                         "skipping undecodable cache line "
@@ -248,10 +253,7 @@ class ResultCache:
                         error=str(error),
                     )
                     continue
-                key = entry.get("key")
-                record = entry.get("record")
-                if isinstance(key, str) and isinstance(record, dict):
-                    sink[key] = record
+                sink[key] = record
 
     def _load(self) -> None:
         if self._loaded:

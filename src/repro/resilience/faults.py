@@ -28,8 +28,8 @@ site                        seam
 **Free when disarmed.**  With no plan installed every call is one module
 global load and a ``None`` compare -- the ``NULL_SPAN`` discipline from
 :mod:`repro.obs.trace` -- so the sites stay compiled into production paths
-permanently; the floor is pinned by test and by the ``resilience_overhead``
-bench scenario.
+permanently; the floor is pinned by test, also for a plan armed only for
+other sites.
 
 **Deterministic when armed.**  A :class:`FaultPlan` maps sites to
 :class:`FaultRule` triggers: a fixed hit schedule (``on_hits``), every Nth
@@ -285,13 +285,24 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        """Parse a plan from a JSON file (the ``SRADGEN_FAULTS`` format)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
+        """Parse a plan from a JSON file (the ``SRADGEN_FAULTS`` format).
+
+        Every bad file -- unreadable, not JSON, not a plan -- raises
+        ``ValueError``.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}: not a JSON fault plan: {error}") from None
-        return cls.from_dict(data)
+        except OSError as error:
+            raise ValueError(
+                f"{path}: cannot read fault plan: {error.strerror or error}"
+            ) from None
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON fault plan: {error}") from None
+        try:
+            return cls.from_dict(data)
+        except TypeError as error:  # a field of the wrong JSON type
+            raise ValueError(f"{path}: bad fault plan: {error}") from None
 
 
 def _announce(site: str, rule: FaultRule) -> None:
@@ -360,4 +371,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 _env_plan = os.environ.get(FAULTS_ENV_VAR)
 if _env_plan:  # pragma: no cover - exercised via subprocess tests
-    install_plan(FaultPlan.load(_env_plan))
+    try:
+        install_plan(FaultPlan.load(_env_plan))
+    except ValueError:  # sradlint: disable=ast.silent-except -- the CLI reports it as a usage error
+        pass

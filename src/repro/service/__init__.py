@@ -19,7 +19,7 @@ with nothing beyond the stdlib:
 
 Start a server with ``sradgen --serve`` and point any number of
 ``sradgen --campaign ... --connect HOST:PORT`` invocations (or the
-``tools/bench.py`` load generator) at it.
+``tools/loadgen.py`` load generator) at it.
 """
 
 from repro.service.client import ServiceClient, run_campaign_remote

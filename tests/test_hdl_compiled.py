@@ -337,10 +337,14 @@ def _sim_cycles(action):
 
 def test_generate_verify_runs_on_compiled_engine():
     sequence = build_pattern("dct", 16, 16).to_sequence()
-    reference, compiled_cycles = _sim_cycles(lambda: generate(sequence, verify=True))
-    assert reference == 0
-    # One edge per sequence position plus the reset edge.
-    assert compiled_cycles == sequence.length + 1
+    # Both the verify-only path and the default --report shape (synthesis on).
+    for synthesize in (False, True):
+        reference, compiled_cycles = _sim_cycles(
+            lambda: generate(sequence, verify=True, synthesize=synthesize)
+        )
+        assert reference == 0
+        # One edge per sequence position plus the reset edge.
+        assert compiled_cycles == sequence.length + 1
 
 
 _ONE_PER_STYLE = (

@@ -110,7 +110,7 @@ def test_print_call_fires_in_library_code_only():
     findings, _ = lint_source(source, path="src/repro/synth/foo.py")
     assert "ast.print-call" in _rules(findings)
     # The CLI front end and non-library trees may print freely.
-    for path in ("src/repro/cli.py", "tools/bench.py", "tests/test_x.py"):
+    for path in ("src/repro/cli.py", "tools/loadgen.py", "tests/test_x.py"):
         findings, _ = lint_source(source, path=path)
         assert "ast.print-call" not in _rules(findings), path
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import cli
 from repro.engine.cache import CacheLock, CacheLockTimeout, ResultCache
 from repro.obs import metrics
 from repro.resilience.faults import FaultPlan, FaultRule, clear_plan, install_plan
@@ -61,6 +62,36 @@ def test_append_after_another_writers_torn_tail(tmp_path):
     assert metrics.counter("cache.torn_lines") == torn + 1
     assert reloaded.get("after") == {"value": 2}
     assert "torn" not in reloaded
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        b'{"key": "k\xff", "record": {"value": 9}}',
+        b"[1, 2]",
+        b"42",
+        b'{"value": 9}',
+    ],
+    ids=["non-utf8", "json-list", "json-number", "no-key-record"],
+)
+def test_hostile_cache_line_is_skipped_like_a_torn_one(tmp_path, capsys, hostile):
+    """Garbage mid-segment costs one line: readers warn, count it torn and
+    keep every other record instead of crashing."""
+    cache = ResultCache(str(tmp_path))
+    cache.put("before", {"value": 0})
+    with open(cache.segment_path, "ab") as handle:
+        handle.write(hostile + b"\n")
+    cache.put("after", {"value": 1})
+    capsys.readouterr()
+    torn = metrics.counter("cache.torn_lines")
+    reloaded = ResultCache(str(tmp_path))
+    assert len(reloaded) == 2
+    assert reloaded.get("before") == {"value": 0}
+    assert reloaded.get("after") == {"value": 1}
+    assert metrics.counter("cache.torn_lines") == torn + 1
+    assert capsys.readouterr().err.count("undecodable cache line") == 1
+    assert cli.main(["--cache-stats", "--cache-dir", str(tmp_path)]) == 0
+    assert "lines     3 total (2 live" in capsys.readouterr().out
 
 
 def test_put_is_not_acknowledged_until_durable(tmp_path):

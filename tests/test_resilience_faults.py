@@ -208,6 +208,11 @@ def test_plan_load_rejects_unknown_fields_and_garbage(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ValueError, match="not a JSON fault plan"):
         FaultPlan.load(str(bad))
+    with pytest.raises(ValueError, match="cannot read fault plan"):
+        FaultPlan.load(str(tmp_path / "missing.json"))
+    bad.write_text('{"rules": [{"site": "x", "every": "3"}]}')
+    with pytest.raises(ValueError, match="bad fault plan"):
+        FaultPlan.load(str(bad))
 
 
 def test_env_var_arms_a_fresh_process(tmp_path):
@@ -237,12 +242,39 @@ def test_env_var_arms_a_fresh_process(tmp_path):
     assert "FIRED" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "plan_text", [None, "{not json"], ids=["missing-file", "malformed-file"]
+)
+def test_bad_env_plan_is_a_usage_error_not_a_traceback(tmp_path, plan_text):
+    plan = tmp_path / "plan.json"
+    if plan_text is not None:
+        plan.write_text(plan_text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--workload", "fifo",
+         "--rows", "4", "--cols", "4"],
+        env={
+            **os.environ,
+            FAULTS_ENV_VAR: str(plan),
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+        },
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [
+        line for line in proc.stderr.splitlines() if line.startswith("sradgen: error:")
+    ]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"sradgen: error: {FAULTS_ENV_VAR}: {plan}: ")
+
+
 # ------------------------------------------------------------ overhead floor
 def test_disabled_fault_point_overhead_floor():
     """Disarmed sites must stay free: one global load and a None compare.
+    A plan armed only for other sites must stay under the same bound.
 
-    Same floor discipline (and bound) as the NULL_SPAN test in test_obs.py;
-    the resilience_overhead bench scenario pins the same number.
+    Same floor discipline (and bound) as the NULL_SPAN test in test_obs.py.
     """
     clear_plan()
     n = 200_000
@@ -257,6 +289,17 @@ def test_disabled_fault_point_overhead_floor():
         assert fault_data("cache.append.write", payload) is payload
     elapsed = time.perf_counter() - start
     assert elapsed < n * 2.5e-6, f"disabled fault_data too slow: {elapsed:.3f}s"
+    # A plan armed for other sites: the cost a chaos run puts on the seams
+    # it does not target.
+    install_plan(FaultPlan([FaultRule(site="some.other.site")]))
+    try:
+        start = time.perf_counter()
+        for _ in range(n):
+            fault_point("cache.append")
+        elapsed = time.perf_counter() - start
+    finally:
+        clear_plan()
+    assert elapsed < n * 2.5e-6, f"unmatched armed fault_point too slow: {elapsed:.3f}s"
 
 
 # ------------------------------------------------------------- retry policy
