@@ -17,11 +17,8 @@ import pytest
 
 from repro.analysis.explorer import explore
 from repro.analysis.reporting import format_table
-from repro.generators import (
-    CounterBasedAddressGenerator,
-    FsmAddressGenerator,
-    SragDesign,
-)
+from repro.core.addm_generator import SragAddressGenerator
+from repro.generators import CounterBasedAddressGenerator, FsmAddressGenerator
 from repro.memory.layout import BlockedLayout
 from repro.workloads import motion_estimation
 
@@ -37,7 +34,7 @@ def test_two_hot_versus_one_hot_encoding(benchmark, print_report, read_pattern):
     sequence = read_pattern.to_sequence()
 
     def run():
-        two_hot = SragDesign(sequence).synthesize()
+        two_hot = SragAddressGenerator(sequence).synthesize()
         one_hot = FsmAddressGenerator(
             sequence, encoding="onehot", output_style="select_lines"
         ).synthesize()
@@ -114,8 +111,8 @@ def test_blocked_data_organisation(benchmark, print_report, read_pattern):
     sequence = read_pattern.to_sequence()
 
     def run():
-        row_major = SragDesign(sequence).synthesize()
-        blocked = SragDesign(sequence.with_layout(BlockedLayout(2, 2))).synthesize()
+        row_major = SragAddressGenerator(sequence).synthesize()
+        blocked = SragAddressGenerator(sequence.with_layout(BlockedLayout(2, 2))).synthesize()
         return row_major, blocked
 
     row_major, blocked = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,7 @@ understates the speedup.
 import time
 
 from repro.analysis.reporting import format_table
-from repro.generators.srag_design import SragDesign
+from repro.core.addm_generator import SragAddressGenerator
 from repro.synth.power import _reference_toggles, estimate_power
 from repro.workloads.registry import build_pattern
 
@@ -22,7 +22,7 @@ CYCLES = 256
 
 def _srag_netlist(size):
     pattern = build_pattern("motion_est_read", size, size)
-    return SragDesign(pattern.to_sequence()).netlist
+    return SragAddressGenerator(pattern.to_sequence()).netlist
 
 
 def _time(fn, repeats=3):

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
+from repro.core.addm_generator import SragAddressGenerator
 from repro.flow import FlowSpec
 from repro.generators.counter_based import CounterBasedAddressGenerator
-from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import CellLibrary, STD018
 from repro.synth.report import SynthesisResult
 from repro.workloads.loopnest import AffineAccessPattern
@@ -85,7 +85,7 @@ def evaluate_srag(
     pattern: AffineAccessPattern, library: CellLibrary = STD018
 ) -> GeneratorMetrics:
     """Synthesise the SRAG for ``pattern`` and return its metrics."""
-    design = SragDesign(pattern.to_sequence())
+    design = SragAddressGenerator(pattern.to_sequence())
     result = design.synthesize(spec=FlowSpec(library=library))
     return GeneratorMetrics(
         style="SRAG",

@@ -22,6 +22,9 @@ Usage examples::
     sradgen --campaign demo --cache-dir .sradgen_cache
     sradgen --list-campaigns
 
+    # Prove the synthesised netlist equivalent to the pre-flow netlist
+    sradgen --workload fifo --rows 8 --cols 8 --cec
+
     # Synthesis figures after logic optimization (what a real tool reports)
     sradgen --workload dct --rows 8 --cols 8 --report --opt-level 1
 
@@ -189,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip gate-level verification of the generated SRAG",
+        help=(
+            "skip the gate-level sequence check (simulating the generated "
+            "SRAG netlist must regenerate the input sequence)"
+        ),
     )
     parser.add_argument(
         "--opt-level",
@@ -228,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--verify",
+        "--cec",
         action="store_const",
         const=1,
         default=None,
-        dest="verify",
+        dest="cec",
         help=(
-            "formally verify (SAT-based CEC, repro.verify) that every "
+            "prove (SAT-based equivalence checking, repro.verify) that every "
             "synthesised netlist is equivalent to its pre-flow netlist; "
             "exit 2 on proven inequivalence.  With --campaign, applies to "
             "every job (cache keys are unaffected); with --input/--workload "
@@ -525,11 +531,11 @@ def _run_campaign(args: argparse.Namespace) -> int:
     lint_errors = 0
     if args.lint:
         lint_errors = _report_campaign_lint(result.records)
-    verify_failures = 0
-    if args.verify:
-        verify_failures = _report_campaign_verify(result.records)
+    cec_failures = 0
+    if args.cec:
+        cec_failures = _report_campaign_cec(result.records)
     # Proven inequivalence outranks everything: exit 2 > 1 > 0.
-    if verify_failures:
+    if cec_failures:
         return 2
     return 1 if errors or lint_errors else 0
 
@@ -537,9 +543,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
 def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
     """Print design-lint findings from a linted campaign; return error count.
 
-    Cached (and remote) records carry no findings -- lint is volatile
-    evaluation metadata, never serialised -- so only freshly evaluated
-    records contribute.
+    Cached records carry no findings -- lint is volatile evaluation
+    metadata, never serialised -- so only freshly evaluated records
+    contribute (and ``--connect`` refuses ``--lint`` for that reason).
     """
     lint_errors = 0
     for record in records:
@@ -561,30 +567,32 @@ def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
     return lint_errors
 
 
-def _report_campaign_verify(records: Sequence[EvalRecord]) -> int:
-    """Print CEC verdicts from a verified campaign; return failure count.
+def _report_campaign_cec(records: Sequence[EvalRecord]) -> int:
+    """Print CEC verdicts from a campaign run with ``--cec``; return the
+    failure count.
 
-    Same volatility contract as lint: cached (and remote) records carry no
-    verdict, so only freshly evaluated records contribute.
+    Same volatility contract as lint: cached records carry no verdict, and
+    neither do skipped or error records, so only the records that carry one
+    are counted.
     """
-    failures = 0
+    failures = checked = 0
     for record in records:
-        verdict = record.verify_result
+        verdict = record.cec_result
         if verdict is None:
             continue
+        checked += 1
         if not verdict.get("equivalent", True):
             failures += 1
             cex = verdict.get("counterexample") or {}
             print(
-                f"verify: {record.label}: NOT equivalent "
+                f"cec: {record.label}: NOT equivalent "
                 f"({verdict.get('method', '?')}): output "
                 f"{cex.get('port', '?')} differs at cycle {cex.get('cycle', '?')}",
                 file=sys.stderr,
             )
-    fresh = sum(1 for record in records if not record.cached)
     print(
-        f"verify: {failures} proven-inequivalent record(s) over "
-        f"{fresh} freshly evaluated record(s)"
+        f"cec: {failures} proven-inequivalent record(s) over "
+        f"{checked} checked record(s)"
     )
     return failures
 
@@ -717,6 +725,11 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return _serve(args)
 
     if args.campaign:
+        if args.connect and (args.lint or args.cec):
+            # The service streams cached-form records, which never carry
+            # findings or verdicts: a summary would report checks that
+            # never ran.
+            parser.error("--connect cannot report --lint or --cec findings")
         return _run_campaign(args)
 
     if args.rows is None or args.cols is None:
@@ -734,6 +747,8 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.explore:
         if not args.workload:
             parser.error("--explore requires --workload (it needs the loop nest)")
+        if args.lint or args.cec:
+            parser.error("--explore does not report --lint or --cec findings")
         pattern = build_pattern(args.workload, args.rows, args.cols)
         print(explore(pattern, spec=spec).describe())
         return 0
@@ -743,7 +758,7 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             sequence,
             emit_vhdl_text=bool(args.vhdl) or not args.verilog,
             emit_verilog_text=bool(args.verilog),
-            synthesize=args.report or bool(args.lint) or bool(args.verify),
+            synthesize=args.report or bool(args.lint) or bool(args.cec),
             spec=spec,
             verify=not args.no_verify,
         )
@@ -766,18 +781,18 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 print(f"lint: {finding.render()}", file=sys.stderr)
             print(f"lint: {report.summary()}")
             lint_failed = report.has_errors
-    verify_failed = False
-    if args.verify and result.synthesis is not None:
-        verdict = result.synthesis.verify_report
+    cec_failed = False
+    if args.cec and result.synthesis is not None:
+        verdict = result.synthesis.cec_report
         if verdict is not None:
-            print(f"verify: {verdict.summary()}")
+            print(f"cec: {verdict.summary()}")
             if not verdict.equivalent:
                 assert verdict.counterexample is not None
                 print(
-                    f"verify: {verdict.counterexample.describe()}",
+                    f"cec: {verdict.counterexample.describe()}",
                     file=sys.stderr,
                 )
-                verify_failed = True
+                cec_failed = True
     if args.vhdl:
         with open(args.vhdl, "w", encoding="utf-8") as handle:
             handle.write(result.vhdl or "")
@@ -787,7 +802,7 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             handle.write(result.verilog or "")
         print(f"wrote Verilog to {args.verilog}")
     # Proven inequivalence outranks everything: exit 2 > 1 > 0.
-    if verify_failed:
+    if cec_failed:
         return 2
     return 1 if lint_failed else 0
 

@@ -15,7 +15,7 @@
 """
 
 from repro.core.addm_generator import SragAddressGenerator
-from repro.core.mapper import map_address_sequence, map_row_and_column, map_sequence
+from repro.core.mapper import map_address_sequence, map_sequence
 from repro.core.mapping_params import MappingError, SragMapping
 from repro.core.multi_counter import (
     GeneralisedSragModel,
@@ -36,7 +36,6 @@ from repro.core.two_hot import (
 __all__ = [
     "SragAddressGenerator",
     "map_address_sequence",
-    "map_row_and_column",
     "map_sequence",
     "MappingError",
     "SragMapping",

@@ -9,12 +9,11 @@ independently by the SRAdGen procedure on its own RowAS / ColAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.mapper import map_address_sequence
-from repro.core.mapping_params import SragMapping
 from repro.core.srag import SragFunctionalModel, SragPorts, build_srag
+from repro.generators.base import AddressGeneratorDesign
 from repro.hdl.compiled import CompiledSimulator, sample_outputs
 from repro.hdl.netlist import Netlist, sanitise_name
 from repro.workloads.sequences import AddressSequence
@@ -22,34 +21,34 @@ from repro.workloads.sequences import AddressSequence
 __all__ = ["SragAddressGenerator"]
 
 
-@dataclass
-class SragAddressGenerator:
-    """A mapped, elaborated two-hot SRAG for one address sequence.
+class SragAddressGenerator(AddressGeneratorDesign):
+    """The paper's two-hot SRAG as an :class:`AddressGeneratorDesign`.
 
-    Use :meth:`from_sequence` to run the mapping procedure and elaborate the
-    netlist in one step.
+    Constructing one runs the SRAdGen mapping procedure on both dimensions,
+    so an unmappable sequence fails fast with a
+    :class:`~repro.core.mapping_params.MappingError`.  The netlist is
+    elaborated from the stored mappings on first use (and again after
+    :meth:`invalidate`); :meth:`from_sequence` maps and elaborates in one
+    step, as the SRAdGen tool does.
 
     Attributes
     ----------
-    sequence:
-        The 2-D address sequence the generator implements.
     row_mapping, col_mapping:
         SRAdGen mapping parameters of each dimension.
-    netlist:
-        The elaborated structural netlist (inputs ``clk``, ``next``,
-        ``reset``; outputs ``rs_<i>`` and ``cs_<j>``).
     row_ports, col_ports:
-        Internal port bundles of the two one-dimensional SRAGs.
+        Internal port bundles of the two one-dimensional SRAGs in the latest
+        elaboration (``None`` before the first).  The netlist has inputs
+        ``clk``, ``next``, ``reset`` and outputs ``rs_<i>`` and ``cs_<j>``.
     """
 
-    sequence: AddressSequence
-    row_mapping: SragMapping
-    col_mapping: SragMapping
-    netlist: Netlist
-    row_ports: SragPorts
-    col_ports: SragPorts
+    style = "SRAG"
 
-    # ------------------------------------------------------------ constructors
+    def __init__(self, sequence: AddressSequence, *, name: Optional[str] = None):
+        super().__init__(sequence, name=name or f"srag_{sequence.name}")
+        self.row_mapping, self.col_mapping = map_address_sequence(sequence)
+        self.row_ports: Optional[SragPorts] = None
+        self.col_ports: Optional[SragPorts] = None
+
     @classmethod
     def from_sequence(
         cls, sequence: AddressSequence, *, name: Optional[str] = None
@@ -59,27 +58,24 @@ class SragAddressGenerator:
         Raises :class:`~repro.core.mapping_params.MappingError` when either
         dimension violates an SRAG restriction.
         """
-        row_mapping, col_mapping = map_address_sequence(sequence)
-        netlist = Netlist(name or sanitise_name(f"srag_{sequence.name}"))
+        generator = cls(sequence, name=name)
+        generator.netlist  # elaborate now; the netlist is cached
+        return generator
+
+    def elaborate(self) -> Netlist:
+        netlist = Netlist(sanitise_name(self.name))
         clk = netlist.add_input("clk")
         next_signal = netlist.add_input("next")
         reset = netlist.add_input("reset")
-        row_ports = build_srag(
-            netlist, row_mapping, clk, next_signal, reset, prefix="row"
+        self.row_ports = build_srag(
+            netlist, self.row_mapping, clk, next_signal, reset, prefix="row"
         )
-        col_ports = build_srag(
-            netlist, col_mapping, clk, next_signal, reset, prefix="col"
+        self.col_ports = build_srag(
+            netlist, self.col_mapping, clk, next_signal, reset, prefix="col"
         )
-        netlist.add_output_bus("rs", row_ports.select_lines)
-        netlist.add_output_bus("cs", col_ports.select_lines)
-        return cls(
-            sequence=sequence,
-            row_mapping=row_mapping,
-            col_mapping=col_mapping,
-            netlist=netlist,
-            row_ports=row_ports,
-            col_ports=col_ports,
-        )
+        netlist.add_output_bus("rs", self.row_ports.select_lines)
+        netlist.add_output_bus("cs", self.col_ports.select_lines)
+        return netlist
 
     # ---------------------------------------------------------------- queries
     @property
@@ -106,7 +102,8 @@ class SragAddressGenerator:
 
     # ------------------------------------------------------------- simulation
     def simulate_functional(self, cycles: Optional[int] = None) -> List[int]:
-        """Linear addresses produced by the behavioural models."""
+        """Linear addresses produced by the behavioural models (the oracle
+        the gate-level :meth:`simulate` is tested against)."""
         steps = cycles if cycles is not None else self.sequence.length
         row_model, col_model = self.functional_models()
         addresses = []
@@ -116,32 +113,18 @@ class SragAddressGenerator:
             col_model.step()
         return addresses
 
-    def simulate_structural(self, cycles: Optional[int] = None) -> List[int]:
-        """Linear addresses produced by gate-level simulation of the netlist.
-
-        The netlist must not have been modified by buffering/synthesis passes
-        between elaboration and simulation for the select-line names to be
-        meaningful -- run this before :func:`repro.synth.flow.run_synthesis_flow`
-        or on a fresh elaboration.
-        """
+    def simulate(self, cycles: Optional[int] = None) -> List[int]:
+        """Linear addresses produced by gate-level simulation of the netlist."""
         steps = cycles if cycles is not None else self.sequence.length
+        netlist = self.netlist
+        row_lines = self.row_ports.select_lines
+        col_lines = self.col_ports.select_lines
 
         def address(sim: CompiledSimulator) -> int:
-            row = sim.peek_onehot(self.row_ports.select_lines)
-            col = sim.peek_onehot(self.col_ports.select_lines)
+            row = sim.peek_onehot(row_lines)
+            col = sim.peek_onehot(col_lines)
             if row is None or col is None:
                 raise RuntimeError("select lines are not one-hot during simulation")
             return row * self.cols + col
 
-        return sample_outputs(self.netlist, steps, address, next=1)
-
-    def verify(self, cycles: Optional[int] = None, *, structural: bool = False) -> bool:
-        """Check that the generator reproduces its target sequence."""
-        steps = cycles if cycles is not None else self.sequence.length
-        produced = (
-            self.simulate_structural(steps) if structural else self.simulate_functional(steps)
-        )
-        expected = [
-            self.sequence.linear[i % self.sequence.length] for i in range(steps)
-        ]
-        return produced == expected
+        return sample_outputs(netlist, steps, address, next=1)

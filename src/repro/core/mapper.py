@@ -2,10 +2,14 @@
 
 Maps a one-dimensional address sequence onto the SRAG architecture: it
 derives the division count ``dC``, the shift-register grouping ``S`` and the
-pass count ``pC``, and verifies (by simulating the functional SRAG model)
+pass count ``pC``, and checks (by simulating the functional SRAG model)
 that the mapped architecture really regenerates the input sequence -- the
 "verification step" the paper requires because initial grouping can fail for
-sequences such as ``1,2,3,4,3,2,1,4``.
+sequences such as ``1,2,3,4,3,2,1,4``.  The check always runs: it is the
+first rung of the check ladder (mapping vs functional model), followed by
+the gate-level sequence check
+(:meth:`~repro.generators.base.AddressGeneratorDesign.verify`) and the
+optional SAT proof that synthesis preserved the netlist (``FlowSpec.cec``).
 
 A :class:`~repro.core.mapping_params.MappingError` is raised whenever the
 sequence violates one of the single-counter restrictions:
@@ -29,14 +33,11 @@ from repro.workloads.sequences import (
     consecutive_repetitions,
 )
 
-__all__ = ["map_sequence", "map_address_sequence", "map_row_and_column"]
+__all__ = ["map_sequence", "map_address_sequence"]
 
 
 def map_sequence(
-    sequence: Sequence[int],
-    num_lines: Optional[int] = None,
-    *,
-    verify: bool = True,
+    sequence: Sequence[int], num_lines: Optional[int] = None
 ) -> SragMapping:
     """Map a 1-D address sequence onto SRAG parameters.
 
@@ -47,9 +48,6 @@ def map_sequence(
     num_lines:
         Number of select lines in this dimension; defaults to
         ``max(sequence) + 1``.
-    verify:
-        Run the functional-model verification step (recommended; the paper
-        requires it).
 
     Returns
     -------
@@ -126,8 +124,7 @@ def map_sequence(
         num_lines=num_lines,
     )
 
-    if verify:
-        _verify(mapping)
+    _check_functional_model(mapping)
     return mapping
 
 
@@ -190,7 +187,7 @@ def _pass_counts(
     return per_register, [length for _, length in blocks]
 
 
-def _verify(mapping: SragMapping) -> None:
+def _check_functional_model(mapping: SragMapping) -> None:
     """Simulate the functional SRAG model and compare against the input."""
     # Imported here to avoid a circular import (srag builds on the mapping).
     from repro.core.srag import SragFunctionalModel
@@ -205,32 +202,13 @@ def _verify(mapping: SragMapping) -> None:
 
 
 def map_address_sequence(
-    sequence: AddressSequence, *, verify: bool = True
+    sequence: AddressSequence,
 ) -> Tuple[SragMapping, SragMapping]:
     """Map both dimensions of a 2-D :class:`AddressSequence`.
 
     Returns ``(row_mapping, column_mapping)`` -- the inputs to the row SRAG
     and the column SRAG of the complete two-hot generator.
     """
-    row_mapping = map_sequence(
-        sequence.row_sequence, num_lines=sequence.rows, verify=verify
-    )
-    col_mapping = map_sequence(
-        sequence.col_sequence, num_lines=sequence.cols, verify=verify
-    )
+    row_mapping = map_sequence(sequence.row_sequence, num_lines=sequence.rows)
+    col_mapping = map_sequence(sequence.col_sequence, num_lines=sequence.cols)
     return row_mapping, col_mapping
-
-
-def map_row_and_column(
-    row_sequence: Sequence[int],
-    col_sequence: Sequence[int],
-    num_rows: int,
-    num_cols: int,
-    *,
-    verify: bool = True,
-) -> Tuple[SragMapping, SragMapping]:
-    """Map explicit row and column sequences (convenience wrapper)."""
-    return (
-        map_sequence(row_sequence, num_lines=num_rows, verify=verify),
-        map_sequence(col_sequence, num_lines=num_cols, verify=verify),
-    )

@@ -93,8 +93,10 @@ def generate(
         step: cell library, buffering threshold, logic-optimization effort.
         Defaults to the all-defaults spec.
     verify:
-        Check, by gate-level simulation, that the elaborated netlist actually
-        regenerates the input sequence before emitting anything.
+        Run the gate-level sequence check
+        (:meth:`~repro.generators.base.AddressGeneratorDesign.verify`): the
+        elaborated netlist must regenerate the input sequence before
+        anything is emitted.
     name:
         Optional netlist/entity name.
 
@@ -107,9 +109,9 @@ def generate(
         than an unmappable sequence).
     """
     generator = SragAddressGenerator.from_sequence(sequence, name=name)
-    if verify and not generator.verify(structural=True):
+    if verify and not generator.verify():
         raise RuntimeError(
-            f"structural verification failed for sequence {sequence.name!r}"
+            f"gate-level sequence check failed for sequence {sequence.name!r}"
         )
     vhdl_text = emit_vhdl(generator.netlist) if emit_vhdl_text else None
     verilog_text = emit_verilog(generator.netlist) if emit_verilog_text else None

@@ -21,13 +21,13 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.addm_generator import SragAddressGenerator
 from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec
 from repro.generators.arithmetic import ArithmeticAddressGenerator
 from repro.generators.base import AddressGeneratorDesign
 from repro.generators.counter_based import CounterBasedAddressGenerator
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.generators.sfm_pointer import SfmPointerGenerator
-from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import library_fingerprint
 from repro.workloads.loopnest import AffineAccessPattern
 from repro.workloads.registry import build_pattern
@@ -78,7 +78,7 @@ def candidate_factories(
     """
     sequence = pattern.to_sequence()
     candidates: List[Tuple[str, str, Callable[[], AddressGeneratorDesign]]] = [
-        ("SRAG", "two-hot", lambda: SragDesign(sequence)),
+        ("SRAG", "two-hot", lambda: SragAddressGenerator(sequence)),
         ("CntAG", "decoders", lambda: CounterBasedAddressGenerator(pattern)),
         (
             "CntAG",

@@ -72,8 +72,8 @@ class EvalRecord:
     linting on and off must be indistinguishable on disk (and a cached
     record legitimately satisfies a linted request).
 
-    ``verify_result`` holds the formal-equivalence verdict (as a plain dict)
-    when the job ran with ``spec.verify`` set; volatile under exactly the
+    ``cec_result`` holds the formal-equivalence verdict (as a plain dict)
+    when the job ran with ``spec.cec`` set; volatile under exactly the
     lint contract above.
     """
 
@@ -98,7 +98,7 @@ class EvalRecord:
     duration_s: float = 0.0
     cached: bool = False
     lint_findings: List[dict] = field(default_factory=list)
-    verify_result: Optional[dict] = None
+    cec_result: Optional[dict] = None
 
     @property
     def has_power(self) -> bool:
@@ -125,7 +125,7 @@ class EvalRecord:
         data = asdict(self)
         data.pop("cached")
         data.pop("lint_findings")
-        data.pop("verify_result")
+        data.pop("cec_result")
         if not self.has_power:
             data.pop("energy_per_access_fj")
             data.pop("avg_power_uw")
@@ -272,9 +272,9 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                 if result.lint_report is not None
                 else []
             )
-            verify_result = (
-                result.verify_report.to_dict()
-                if result.verify_report is not None
+            cec_result = (
+                result.cec_report.to_dict()
+                if result.cec_report is not None
                 else None
             )
         except (MappingError, NetlistError, ValueError) as error:
@@ -303,7 +303,7 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
             ),
             duration_s=time.perf_counter() - start,
             lint_findings=lint_findings,
-            verify_result=verify_result,
+            cec_result=cec_result,
             **power,
             **base,
         )

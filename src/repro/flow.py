@@ -89,12 +89,13 @@ class FlowSpec:
         the result without changing it, so -- like ``fsm_encodings`` -- it
         never enters job cache keys, and cached records satisfy a linted
         request bit-for-bit.
-    verify:
-        Formally verify (SAT-based CEC, :mod:`repro.verify`) that the
-        synthesised netlist is equivalent to the pre-flow netlist (0 =
-        off).  Also a *diagnostic* knob with the same contract as ``lint``:
-        it proves a property of the result without changing it, so it never
-        enters job cache keys or serialised records.
+    cec:
+        Prove (SAT-based combinational/sequential equivalence checking,
+        :mod:`repro.verify`) that the synthesised netlist is equivalent to
+        the pre-flow netlist (0 = off).  Also a *diagnostic* knob with the
+        same contract as ``lint``: it proves a property of the result
+        without changing it, so it never enters job cache keys or
+        serialised records.
 
     Adding a future axis is one field here: give it a default, declare it
     with :func:`_since_seed`, and every entry point, cache key, CLI override
@@ -108,7 +109,7 @@ class FlowSpec:
     fsm_encodings: Tuple[str, ...] = _since_seed(FSM_ENCODINGS, job_key=False)
     max_fsm_states: int = _always(512)
     lint: int = _since_seed(0, job_key=False)
-    verify: int = _since_seed(0, job_key=False)
+    cec: int = _since_seed(0, job_key=False)
 
     # ---------------------------------------------------------- validation
     def __post_init__(self) -> None:
@@ -135,7 +136,7 @@ class FlowSpec:
         self._check_int("power_cycles", minimum=0)
         self._check_int("max_fsm_states", minimum=1)
         self._check_int("lint", minimum=0)
-        self._check_int("verify", minimum=0)
+        self._check_int("cec", minimum=0)
 
     def _check_int(self, name: str, *, minimum: int) -> None:
         value = getattr(self, name)

@@ -1,10 +1,13 @@
 """Address-generator architectures.
 
 All architectures share the :class:`~repro.generators.base.AddressGeneratorDesign`
-interface (elaborate / simulate / verify / synthesize):
+interface (elaborate / simulate / verify / synthesize), where ``verify`` is
+the gate-level sequence check: the simulated netlist must regenerate the
+target sequence.
 
-* :class:`~repro.generators.srag_design.SragDesign` -- the paper's SRAG
-  (wrapping :mod:`repro.core`).
+* :class:`~repro.core.addm_generator.SragAddressGenerator` -- the paper's
+  SRAG.  It lives in :mod:`repro.core` with the mapping procedure it is
+  built from, and is exported from there.
 * :class:`~repro.generators.counter_based.CounterBasedAddressGenerator` --
   the CntAG baseline of Section 6 (loop counters + decoders).
 * :class:`~repro.generators.arithmetic.ArithmeticAddressGenerator` -- the
@@ -24,7 +27,6 @@ from repro.generators.counter_based import (
 )
 from repro.generators.fsm_based import FsmAddressGenerator
 from repro.generators.sfm_pointer import SfmPointerGenerator
-from repro.generators.srag_design import SragDesign
 
 __all__ = [
     "AddressGeneratorDesign",
@@ -32,7 +34,6 @@ __all__ = [
     "CounterBasedAddressGenerator",
     "FsmAddressGenerator",
     "SfmPointerGenerator",
-    "SragDesign",
     "build_standalone_decoder",
     "standalone_decoder_report",
 ]

@@ -12,10 +12,14 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
+# repro.synth first: repro.flow validates DEFAULT_SPEC against the cell
+# library at import, and repro.synth.flow imports repro.flow, so loading
+# repro.flow before the repro.synth package is an import cycle.  This module
+# is the first of the package to load (repro.core's SRAG builds on it).
+from repro.synth.flow import run_synthesis_flow
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.obs import phase
-from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
 from repro.workloads.sequences import AddressSequence
 
@@ -61,7 +65,9 @@ class AddressGeneratorDesign(abc.ABC):
         self._netlist = None
 
     def verify(self, cycles: Optional[int] = None) -> bool:
-        """Check the simulated addresses against the target sequence."""
+        """The gate-level sequence check: the simulated netlist must
+        regenerate the target sequence (periodically, for ``cycles`` beyond
+        its length)."""
         steps = cycles if cycles is not None else self.sequence.length
         produced = self.simulate(steps)
         expected = [

@@ -10,8 +10,9 @@ reproduction is built on:
   multiplexors, flip-flops) with functional models used by the simulator.
 * :mod:`repro.hdl.compiled` -- a levelised, event-driven compiled simulator
   that skips quiescent logic cones and unchanged flops; it runs every
-  gate-level check (generate-verify and every generator's ``simulate()``,
-  through :func:`~repro.hdl.compiled.sample_outputs`) and power estimation.
+  gate-level check (every generator's ``simulate()`` and so the sequence
+  check ``verify``, through :func:`~repro.hdl.compiled.sample_outputs`) and
+  power estimation.
 * :mod:`repro.hdl.simulator` -- a cycle-accurate two-phase simulator for
   netlists built from those primitives: the reference implementation, kept
   as the oracle the compiled simulator must match bit for bit.

@@ -1,8 +1,9 @@
 """Compiled netlist simulator: the engine of every gate-level run.
 
-Every gate-level simulation on a hot path runs here: the generate-verify
-check (:func:`sample_outputs`, behind ``SragAddressGenerator.verify`` and
-every generator's ``simulate()``) and the power study
+Every gate-level simulation on a hot path runs here: the gate-level
+sequence check (:func:`sample_outputs`, behind every generator's
+``simulate()`` and so behind ``AddressGeneratorDesign.verify``) and the
+power study
 (:func:`repro.synth.power.estimate_power`).  The reference
 :class:`~repro.hdl.simulator.Simulator` is kept only as the oracle this
 module is tested against.  It re-evaluates every combinational cell twice

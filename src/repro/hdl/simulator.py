@@ -4,8 +4,8 @@ The simulator evaluates the combinational cells of a :class:`~repro.hdl.netlist.
 in topological order, then updates every flip-flop simultaneously on a
 simulated rising clock edge.  It is the reproduction's *oracle*: the
 straightforward model that :class:`~repro.hdl.compiled.CompiledSimulator` --
-which runs the generate-verify check and every generator's ``simulate()`` --
-is tested against bit for bit.  Its remaining users are the tests, the
+which runs every generator's ``simulate()`` and so the gate-level sequence
+check ``AddressGeneratorDesign.verify`` -- is tested against bit for bit.  Its remaining users are the tests, the
 replay of CEC counterexamples (:mod:`repro.verify.cec`) and the power
 oracle ``repro.synth.power._reference_toggles``.
 """

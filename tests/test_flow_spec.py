@@ -21,11 +21,11 @@ import pytest
 
 from repro.analysis.explorer import explore
 from repro.cli import build_parser, main
+from repro.core.addm_generator import SragAddressGenerator
 from repro.core.sradgen import generate
 from repro.engine.jobs import Campaign, EvalJob
 from repro.engine.runner import EvalRecord
 from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec, opt_label_suffix
-from repro.generators.srag_design import SragDesign
 from repro.synth.cell_library import STD018, get_library
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads.fifo import fifo_pattern, incremental_sequence
@@ -220,12 +220,12 @@ def _figures(result):
 #: One pre-FlowSpec call form per entry point; each now raises TypeError.
 _PRE_FLOWSPEC_CALLS = {
     "run_synthesis_flow": lambda: run_synthesis_flow(
-        SragDesign(incremental_sequence(8)).netlist, opt_level=1
+        SragAddressGenerator(incremental_sequence(8)).netlist, opt_level=1
     ),
-    "synthesize": lambda: SragDesign(incremental_sequence(8)).synthesize(
+    "synthesize": lambda: SragAddressGenerator(incremental_sequence(8)).synthesize(
         library=STD018
     ),
-    "synthesize-two-positionals": lambda: SragDesign(
+    "synthesize-two-positionals": lambda: SragAddressGenerator(
         incremental_sequence(8)
     ).synthesize(STD018, STD018),
     "generate": lambda: generate(incremental_sequence(8), library=STD018),
@@ -257,7 +257,7 @@ def test_eval_job_pickles_without_warning(recwarn):
 
 
 def test_synthesize_accepts_a_positional_spec(recwarn):
-    design = SragDesign(incremental_sequence(32))
+    design = SragAddressGenerator(incremental_sequence(32))
     positional = design.synthesize(FlowSpec(max_fanout=4))
     keyword = design.synthesize(spec=FlowSpec(max_fanout=4))
     assert _figures(positional) == _figures(keyword)

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.core.addm_generator import SragAddressGenerator
 from repro.generators import (
     ArithmeticAddressGenerator,
     CounterBasedAddressGenerator,
     FsmAddressGenerator,
     SfmPointerGenerator,
-    SragDesign,
 )
 from repro.hdl.netlist import NetlistError
 from repro.workloads import dct, fifo, motion_estimation, zoom
@@ -182,7 +182,7 @@ def test_designs_share_the_common_interface():
     sequence = fifo.fifo_sequence(4, 4)
     pattern = fifo.fifo_pattern(4, 4)
     designs = [
-        SragDesign(sequence),
+        SragAddressGenerator(sequence),
         CounterBasedAddressGenerator(pattern),
         ArithmeticAddressGenerator(sequence),
         FsmAddressGenerator(sequence, output_style="two_hot"),
@@ -197,14 +197,14 @@ def test_designs_share_the_common_interface():
 
 
 def test_netlist_cache_and_invalidate():
-    design = SragDesign(fifo.fifo_sequence(4, 4))
+    design = SragAddressGenerator(fifo.fifo_sequence(4, 4))
     first = design.netlist
     assert design.netlist is first
     design.invalidate()
     assert design.netlist is not first
 
 
-def test_srag_design_exposes_mappings():
-    design = SragDesign(motion_estimation.read_sequence(4, 4, 2, 2))
-    assert design.generator.row_mapping.div_count == 2
-    assert design.generator.col_mapping.div_count == 1
+def test_srag_generator_exposes_mappings():
+    design = SragAddressGenerator(motion_estimation.read_sequence(4, 4, 2, 2))
+    assert design.row_mapping.div_count == 2
+    assert design.col_mapping.div_count == 1

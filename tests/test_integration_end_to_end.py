@@ -7,12 +7,8 @@ the quantities the benchmark harness then reports numerically.
 
 
 from repro.analysis.tradeoff import average_factors, compare_generators
-from repro.core.sradgen import generate
-from repro.generators import (
-    CounterBasedAddressGenerator,
-    FsmAddressGenerator,
-    SragDesign,
-)
+from repro.core import SragAddressGenerator, generate
+from repro.generators import CounterBasedAddressGenerator, FsmAddressGenerator
 from repro.synth.fsm import FiniteStateMachine, synthesize_fsm
 from repro.synth.flow import run_synthesis_flow
 from repro.workloads import dct, fifo, motion_estimation, zoom
@@ -62,7 +58,7 @@ def test_shift_register_beats_symbolic_fsm_for_incremental_access():
     fsm = FiniteStateMachine.from_select_sequence(sequence.linear, num_lines=length)
     fsm_result = run_synthesis_flow(synthesize_fsm(fsm, encoding="binary").netlist)
 
-    shift_register = SragDesign(sequence).synthesize()
+    shift_register = SragAddressGenerator(sequence).synthesize()
 
     assert shift_register.delay_ns < fsm_result.delay_ns
     # Area premium is modest compared to the delay advantage.
@@ -105,11 +101,10 @@ def test_fsm_generator_is_viable_but_expensive_for_block_access():
     sequence = motion_estimation.read_sequence(8, 8, 2, 2)
     fsm_design = FsmAddressGenerator(sequence, output_style="two_hot")
     assert fsm_design.verify()
-    srag_design = SragDesign(sequence)
+    srag = SragAddressGenerator(sequence)
     fsm_states = fsm_design.fsm_synthesis.fsm.num_states
     srag_flops = (
-        srag_design.generator.row_mapping.total_flip_flops
-        + srag_design.generator.col_mapping.total_flip_flops
+        srag.row_mapping.total_flip_flops + srag.col_mapping.total_flip_flops
     )
     assert fsm_states == sequence.length
     assert srag_flops < fsm_states
