@@ -15,7 +15,7 @@ These runs quantify the design choices DESIGN.md calls out:
 
 import pytest
 
-from repro.analysis.explorer import explore
+from repro.analysis.explorer import describe_design_space, explore
 from repro.analysis.reporting import format_table
 from repro.core.addm_generator import SragAddressGenerator
 from repro.generators import CounterBasedAddressGenerator, FsmAddressGenerator
@@ -130,8 +130,9 @@ def test_blocked_data_organisation(benchmark, print_report, read_pattern):
 
 
 def test_design_space_exploration(benchmark, print_report):
-    pattern = motion_estimation.new_img_read_pattern(8, 8, 2, 2)
-    result = benchmark.pedantic(lambda: explore(pattern), rounds=1, iterations=1)
-    print_report(result.describe())
-    assert {"SRAG", "CntAG"}.issubset({p.style for p in result.points})
-    assert result.pareto()
+    result = benchmark.pedantic(
+        lambda: explore("motion_est_read", 8, 8), rounds=1, iterations=1
+    )
+    print_report(describe_design_space(result))
+    assert {"SRAG", "CntAG"}.issubset({r.style for r in result.ok_records()})
+    assert result.pareto_fronts()

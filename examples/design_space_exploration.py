@@ -15,22 +15,22 @@ Run with::
     python examples/design_space_exploration.py
 """
 
-from repro.analysis.explorer import explore
+from repro.analysis.explorer import describe_design_space, explore
 from repro.core.mapper import map_sequence
 from repro.core.mapping_params import MappingError
 from repro.core.multi_counter import GeneralisedSragModel, map_sequence_relaxed
-from repro.workloads import dct, motion_estimation, patterns, zoom
+from repro.workloads import patterns
 
 
 def main() -> None:
     workloads = {
-        "dct column pass (8x8)": dct.column_pass_pattern(8, 8),
-        "zoom by two (8x8)": zoom.zoom_read_pattern(8, 8, 2),
-        "motion estimation read (8x8)": motion_estimation.new_img_read_pattern(8, 8, 2, 2),
+        "dct column pass (8x8)": "dct",
+        "zoom by two (8x8)": "zoombytwo",
+        "motion estimation read (8x8)": "motion_est_read",
     }
-    for label, pattern in workloads.items():
+    for label, workload in workloads.items():
         print(f"### {label}")
-        print(explore(pattern).describe())
+        print(describe_design_space(explore(workload, 8, 8)))
         print()
 
     # A pattern outside the SRAG's reach: the serpentine (boustrophedon) scan.

@@ -3,12 +3,13 @@
 * :mod:`repro.analysis.tradeoff` -- SRAG-versus-CntAG evaluation producing
   the records behind Figures 8-10 and Table 3.
 * :mod:`repro.analysis.explorer` -- multi-architecture design-space
-  exploration with Pareto filtering (the paper's stated future-work goal).
+  exploration (the paper's stated future-work goal): a one-workload
+  campaign on the engine, rendered with its Pareto front marked.
 * :mod:`repro.analysis.reporting` -- plain-text table/series formatting used
   by the benchmark harnesses.
 """
 
-from repro.analysis.explorer import DesignPoint, ExplorationResult, explore, pareto_front
+from repro.analysis.explorer import describe_design_space, explore
 from repro.analysis.reporting import format_figure, format_series, format_table
 from repro.analysis.tradeoff import (
     GeneratorMetrics,
@@ -20,10 +21,8 @@ from repro.analysis.tradeoff import (
 )
 
 __all__ = [
-    "DesignPoint",
-    "ExplorationResult",
+    "describe_design_space",
     "explore",
-    "pareto_front",
     "format_figure",
     "format_series",
     "format_table",

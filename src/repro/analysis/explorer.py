@@ -3,162 +3,92 @@
 The paper's closing goal is "to discover algorithms and heuristics which can
 explore the vast design space opened up by address decoder decoupling at a
 high level of abstraction and choose the best architecture".  This module is
-the interactive, single-workload face of that explorer: given an access
-pattern it evaluates every architecture that can implement it, collects
-their area/delay points and reports the Pareto frontier.
-
-Candidate enumeration is delegated to :func:`repro.engine.jobs.candidate_factories`
-so the explorer and the batch campaign engine (:mod:`repro.engine`) always
-agree on the design space; for grid-scale exploration with caching and
-parallelism use ``sradgen --campaign`` or :class:`repro.engine.CampaignRunner`
-directly.
+the interactive, single-workload face of that explorer: :func:`explore` runs
+a one-workload campaign -- every architecture in
+:data:`repro.engine.jobs.STYLE_VARIANTS` -- through the campaign engine, and
+:func:`describe_design_space` renders its area/delay points with the Pareto
+frontier marked.  For grid-scale exploration with caching and parallelism
+use ``sradgen --campaign`` or :class:`repro.engine.CampaignRunner` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-from repro.core.mapping_params import MappingError
-from repro.engine.jobs import candidate_factories
+from repro.engine.jobs import STYLE_VARIANTS, Campaign, EvalJob
 from repro.engine.pareto import pareto_min
+from repro.engine.runner import OK, SKIPPED, CampaignResult, CampaignRunner, EvalRecord
 from repro.flow import DEFAULT_SPEC, FlowSpec
-from repro.generators.base import AddressGeneratorDesign
-from repro.hdl.netlist import NetlistError
-from repro.workloads.loopnest import AffineAccessPattern
+from repro.workloads.registry import build_pattern
 
-__all__ = ["DesignPoint", "ExplorationResult", "explore", "pareto_front"]
-
-
-@dataclass
-class DesignPoint:
-    """One evaluated architecture."""
-
-    style: str
-    variant: str
-    delay_ns: float
-    area_cells: float
-    flip_flops: int
-    applicable: bool = True
-    note: str = ""
-
-    @property
-    def label(self) -> str:
-        """Display label combining style and variant."""
-        return f"{self.style}[{self.variant}]" if self.variant else self.style
-
-
-@dataclass
-class ExplorationResult:
-    """All design points evaluated for one workload."""
-
-    workload: str
-    points: List[DesignPoint] = field(default_factory=list)
-    skipped: List[DesignPoint] = field(default_factory=list)
-
-    def pareto(self) -> List[DesignPoint]:
-        """Pareto-optimal points (minimising both delay and area)."""
-        return pareto_front(self.points)
-
-    def best_delay(self) -> Optional[DesignPoint]:
-        """The fastest applicable design."""
-        return min(self.points, key=lambda p: p.delay_ns) if self.points else None
-
-    def best_area(self) -> Optional[DesignPoint]:
-        """The smallest applicable design."""
-        return min(self.points, key=lambda p: p.area_cells) if self.points else None
-
-    def describe(self) -> str:
-        """Multi-line summary of the exploration."""
-        lines = [f"design space for {self.workload}:"]
-        pareto = set(id(p) for p in self.pareto())
-        for point in sorted(self.points, key=lambda p: p.delay_ns):
-            marker = "*" if id(point) in pareto else " "
-            lines.append(
-                f" {marker} {point.label:<22} delay {point.delay_ns:6.2f} ns   "
-                f"area {point.area_cells:10.0f} cu   FFs {point.flip_flops}"
-            )
-        for point in self.skipped:
-            lines.append(f"   {point.label:<22} not applicable: {point.note}")
-        lines.append("(* = Pareto-optimal)")
-        return "\n".join(lines)
-
-
-def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
-    """Points not dominated in both delay and area by any other point.
-
-    Uses the engine's sort-based O(n log n) sweep (campaigns produce
-    thousands of points; the old all-pairs check was quadratic).
-    """
-    return pareto_min(list(points), key=lambda p: (p.delay_ns, p.area_cells))
-
-
-def _evaluate(
-    design: AddressGeneratorDesign,
-    variant: str,
-    spec: FlowSpec,
-) -> DesignPoint:
-    result = design.synthesize(spec=spec)
-    return DesignPoint(
-        style=design.style,
-        variant=variant,
-        delay_ns=result.delay_ns,
-        area_cells=result.area_cells,
-        flip_flops=result.area.flip_flop_count,
-    )
+__all__ = ["describe_design_space", "explore"]
 
 
 def explore(
-    pattern: AffineAccessPattern,
+    workload: str,
+    rows: int,
+    cols: int,
     *,
     spec: FlowSpec = DEFAULT_SPEC,
-) -> ExplorationResult:
-    """Evaluate every applicable architecture for ``pattern``.
+) -> CampaignResult:
+    """Evaluate every architecture for registry workload ``workload`` on a
+    ``rows x cols`` array.
 
-    Architectures that cannot implement the pattern (SRAG restrictions, SFM's
-    FIFO-only limitation, non-power-of-two arrays for the arithmetic style)
-    are recorded in ``skipped`` with the reason, rather than raising.  The
-    same applies when the failure only surfaces while elaborating or
-    synthesising the candidate, not just while constructing it -- mirroring
-    :func:`repro.engine.runner.evaluate_job`, so one impossible architecture
-    cannot take down a whole exploration.
+    The jobs run serially in process on a :class:`CampaignRunner` with an
+    in-memory cache, so each candidate is one
+    :func:`~repro.engine.runner.evaluate_job`: architectures that cannot
+    implement the pattern (SRAG restrictions, SFM's FIFO-only limitation,
+    non-power-of-two arrays for the arithmetic style) come back as
+    ``skipped`` records with the reason, and an unexpected failure as an
+    ``error`` record, so one candidate cannot take down the exploration.
+    The result's ``campaign`` name is the workload's sequence name.
 
     Parameters
     ----------
     spec:
         Flow configuration (:class:`repro.flow.FlowSpec`) applied at every
         design point; defaults to the all-defaults spec.  ``spec.fsm_encodings``
-        selects the symbolic-FSM candidates, ``spec.max_fsm_states`` skips
+        selects the symbolic-FSM candidates, ``spec.max_fsm_states`` omits
         them for sequences longer than that bound (keeping exploration time
         bounded; the blow-up itself is measured by the synthesis-effort
         benchmark instead), and ``spec.opt_level`` sets the
         logic-optimization effort (0 = raw netlists, the historical
         behaviour).
     """
-    sequence = pattern.to_sequence()
-    result = ExplorationResult(workload=sequence.name)
+    pattern = build_pattern(workload, rows, cols)
+    fsm_fits = pattern.trip_count <= spec.max_fsm_states
+    jobs = [
+        EvalJob(workload, rows, cols, style, variant, spec)
+        for style, variant in STYLE_VARIANTS
+        if style != "FSM" or (fsm_fits and variant in spec.fsm_encodings)
+    ]
+    with CampaignRunner(workers=0) as runner:
+        return runner.run(Campaign(pattern.to_sequence().name, jobs))
 
-    candidates = candidate_factories(
-        pattern,
-        fsm_encodings=spec.fsm_encodings,
-        max_fsm_states=spec.max_fsm_states,
-    )
-    for style, variant, factory in candidates:
-        try:
-            design = factory()
-            point = _evaluate(design, variant, spec)
-        except (MappingError, NetlistError, ValueError) as error:
-            result.skipped.append(
-                DesignPoint(
-                    style=style,
-                    variant=variant,
-                    delay_ns=float("nan"),
-                    area_cells=float("nan"),
-                    flip_flops=0,
-                    applicable=False,
-                    note=str(error),
-                )
-            )
-            continue
-        result.points.append(point)
-    return result
+
+def describe_design_space(result: CampaignResult) -> str:
+    """The design-space table of an :func:`explore` result.
+
+    Applicable points are sorted by delay, with ``*`` on the (delay, area)
+    Pareto front; skipped points show why the architecture does not apply
+    and error points the first line of their failure.
+    """
+    lines = [f"design space for {result.campaign}:"]
+    points = result.ok_records()
+    front = {id(r) for r in pareto_min(points, key=lambda r: (r.delay_ns, r.area_cells))}
+    for record in sorted(points, key=lambda r: r.delay_ns):
+        marker = "*" if id(record) in front else " "
+        lines.append(
+            f" {marker} {_label(record):<22} delay {record.delay_ns:6.2f} ns   "
+            f"area {record.area_cells:10.0f} cu   FFs {record.flip_flops}"
+        )
+    for record in result.records:
+        if record.status == SKIPPED:
+            lines.append(f"   {_label(record):<22} not applicable: {record.note}")
+        elif record.status != OK:
+            first_line = (record.note.splitlines() or [""])[0]
+            lines.append(f"   {_label(record):<22} {record.status}: {first_line}")
+    lines.append("(* = Pareto-optimal)")
+    return "\n".join(lines)
+
+
+def _label(record: EvalRecord) -> str:
+    return f"{record.style}[{record.variant}]"

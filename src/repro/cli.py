@@ -48,7 +48,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.analysis.explorer import explore
+from repro.analysis.explorer import describe_design_space, explore
 from repro.core.mapping_params import MappingError
 from repro.core.sradgen import generate
 from repro.engine.cache import CacheLockTimeout, ResultCache
@@ -544,8 +544,9 @@ def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
     """Print design-lint findings from a linted campaign; return error count.
 
     Cached records carry no findings -- lint is volatile evaluation
-    metadata, never serialised -- so only freshly evaluated records
-    contribute (and ``--connect`` refuses ``--lint`` for that reason).
+    metadata, never serialised -- and skipped or error records never
+    reached the linter, so only fresh ``ok`` records are counted (and
+    ``--connect`` refuses ``--lint`` for that reason).
     """
     lint_errors = 0
     for record in records:
@@ -559,10 +560,10 @@ def _report_campaign_lint(records: Sequence[EvalRecord]) -> int:
                 f"{finding.get('message', '')}",
                 file=sys.stderr,
             )
-    fresh = sum(1 for record in records if not record.cached)
+    linted = sum(1 for record in records if record.status == "ok" and not record.cached)
     print(
         f"lint: {lint_errors} error-severity finding(s) over "
-        f"{fresh} freshly evaluated record(s)"
+        f"{linted} freshly linted record(s)"
     )
     return lint_errors
 
@@ -709,6 +710,12 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
 
 
 def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.connect and not args.campaign:
+        parser.error("--connect requires --campaign")
+    if args.no_verify and (args.campaign or args.explore):
+        mode = "--campaign" if args.campaign else "--explore"
+        parser.error(f"{mode} runs no gate-level sequence check for --no-verify to skip")
+
     if args.list_campaigns:
         # Descriptions come from the registry, so listing never expands a grid.
         for name in available_campaigns():
@@ -749,9 +756,9 @@ def _execute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error("--explore requires --workload (it needs the loop nest)")
         if args.lint or args.cec:
             parser.error("--explore does not report --lint or --cec findings")
-        pattern = build_pattern(args.workload, args.rows, args.cols)
-        print(explore(pattern, spec=spec).describe())
-        return 0
+        result = explore(args.workload, args.rows, args.cols, spec=spec)
+        print(describe_design_space(result))
+        return 1 if any(record.status == "error" for record in result.records) else 0
 
     try:
         result = generate(

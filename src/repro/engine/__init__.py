@@ -6,7 +6,8 @@ package is the scaffolding for that exploration at scale:
 
 * :mod:`repro.engine.jobs` -- declarative :class:`EvalJob`/:class:`Campaign`
   grids over (workload x geometry x style x library x encoding) with stable
-  content-hash keys per job;
+  content-hash keys per job, and the one ``(style, variant)`` table that
+  :func:`build_design` builds architectures from;
 * :mod:`repro.engine.cache` -- a content-addressed on-disk result store, so
   re-running a campaign only evaluates new points;
 * :mod:`repro.engine.scheduler` -- :class:`Scheduler` owns the warmed
@@ -19,8 +20,9 @@ package is the scaffolding for that exploration at scale:
   campaign-level Pareto fronts;
 * :mod:`repro.engine.sweep` -- built-in campaigns reproducing the paper's
   Figure 8/10 sweeps plus new cross-workload grids;
-* :mod:`repro.engine.pareto` -- the O(n log n) Pareto sweep shared with the
-  interactive explorer.
+* :mod:`repro.engine.pareto` -- the O(n log n) Pareto sweep behind every
+  Pareto front, the interactive explorer's included (its
+  :func:`~repro.analysis.explore` is a one-workload campaign run here).
 """
 
 from repro.engine.cache import ResultCache
@@ -30,7 +32,6 @@ from repro.engine.jobs import (
     FSM_ENCODINGS,
     STYLE_VARIANTS,
     build_design,
-    candidate_factories,
 )
 from repro.engine.pareto import pareto_indices, pareto_min
 from repro.engine.runner import CampaignResult, CampaignRunner, EvalRecord, evaluate_job
@@ -60,7 +61,6 @@ __all__ = [
     "build_campaign",
     "build_design",
     "campaign_description",
-    "candidate_factories",
     "evaluate_job",
     "pareto_indices",
     "pareto_min",

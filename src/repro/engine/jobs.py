@@ -8,10 +8,10 @@ vast design space opened up by address decoder decoupling":
 
 Jobs are pure data: every field is a name or a number, so a job can be
 hashed, written to disk, shipped to a worker process and rebuilt there.  The
-bridge from data back to objects lives here too -- :func:`build_design`
-instantiates the generator a job describes, and :func:`candidate_factories`
-enumerates every architecture applicable to a pattern (the explorer and the
-campaign factories share this single list).
+bridge from data back to objects lives here too: one table maps every
+``(style, variant)`` to its generator constructor, :data:`STYLE_VARIANTS`
+lists its keys, and :func:`build_design` instantiates the generator a job
+describes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.addm_generator import SragAddressGenerator
 from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec
@@ -38,68 +38,38 @@ __all__ = [
     "FSM_ENCODINGS",
     "STYLE_VARIANTS",
     "build_design",
-    "candidate_factories",
 ]
 
-#: Every (style, variant) pair the library can build.  ``FSM`` variants are
+def _fsm(encoding: str) -> Callable[[AffineAccessPattern], AddressGeneratorDesign]:
+    return lambda pattern: FsmAddressGenerator(
+        pattern.to_sequence(), encoding=encoding, output_style="two_hot"
+    )
+
+
+#: Every architecture the library can build: ``(style, variant)`` -> the
+#: constructor that builds it for an access pattern.  ``FSM`` variants are
 #: the state encodings.
-STYLE_VARIANTS: Tuple[Tuple[str, str], ...] = (
-    ("SRAG", "two-hot"),
-    ("CntAG", "decoders"),
-    ("CntAG", "adders"),
-    ("ArithAG", "binary"),
-    ("SFM", "pointers"),
-    ("FSM", "binary"),
-    ("FSM", "gray"),
-    ("FSM", "onehot"),
-)
+_ARCHITECTURES: Dict[
+    Tuple[str, str], Callable[[AffineAccessPattern], AddressGeneratorDesign]
+] = {
+    ("SRAG", "two-hot"): lambda pattern: SragAddressGenerator(pattern.to_sequence()),
+    ("CntAG", "decoders"): CounterBasedAddressGenerator,
+    ("CntAG", "adders"): lambda pattern: CounterBasedAddressGenerator(
+        pattern, use_concatenation=False
+    ),
+    ("ArithAG", "binary"): lambda pattern: ArithmeticAddressGenerator(
+        pattern.to_sequence()
+    ),
+    ("SFM", "pointers"): lambda pattern: SfmPointerGenerator(pattern.to_sequence()),
+    **{("FSM", encoding): _fsm(encoding) for encoding in FSM_ENCODINGS},
+}
+
+#: Every (style, variant) pair the library can build, in table order.
+STYLE_VARIANTS: Tuple[Tuple[str, str], ...] = tuple(_ARCHITECTURES)
 
 #: Bump when the meaning of a job spec (or of the recorded metrics) changes
 #: incompatibly; old cache entries then stop matching.
 SPEC_VERSION = 1
-
-
-def candidate_factories(
-    pattern: AffineAccessPattern,
-    *,
-    fsm_encodings: Sequence[str] = FSM_ENCODINGS,
-    max_fsm_states: int = 512,
-) -> List[Tuple[str, str, Callable[[], AddressGeneratorDesign]]]:
-    """Enumerate ``(style, variant, factory)`` for every applicable architecture.
-
-    This is the single candidate list behind both the interactive explorer
-    and campaign grids.  Factories may raise ``MappingError`` /
-    ``NetlistError`` / ``ValueError`` for patterns an architecture cannot
-    implement; callers record those as skipped points.
-
-    Symbolic-FSM variants are omitted for sequences longer than
-    ``max_fsm_states`` to keep evaluation time bounded (the blow-up itself is
-    measured by the synthesis-effort benchmark instead).
-    """
-    sequence = pattern.to_sequence()
-    candidates: List[Tuple[str, str, Callable[[], AddressGeneratorDesign]]] = [
-        ("SRAG", "two-hot", lambda: SragAddressGenerator(sequence)),
-        ("CntAG", "decoders", lambda: CounterBasedAddressGenerator(pattern)),
-        (
-            "CntAG",
-            "adders",
-            lambda: CounterBasedAddressGenerator(pattern, use_concatenation=False),
-        ),
-        ("ArithAG", "binary", lambda: ArithmeticAddressGenerator(sequence)),
-        ("SFM", "pointers", lambda: SfmPointerGenerator(sequence)),
-    ]
-    if sequence.length <= max_fsm_states:
-        for encoding in fsm_encodings:
-            candidates.append(
-                (
-                    "FSM",
-                    encoding,
-                    lambda enc=encoding: FsmAddressGenerator(
-                        sequence, encoding=enc, output_style="two_hot"
-                    ),
-                )
-            )
-    return candidates
 
 
 def build_design(
@@ -110,12 +80,10 @@ def build_design(
     Raises ``KeyError`` for unknown style/variant pairs and whatever the
     generator's constructor raises for inapplicable patterns.
     """
-    for cand_style, cand_variant, factory in candidate_factories(
-        pattern, max_fsm_states=2 ** 31
-    ):
-        if cand_style == style and cand_variant == variant:
-            return factory()
-    raise KeyError(f"unknown architecture {style}[{variant}]")
+    constructor = _ARCHITECTURES.get((style, variant))
+    if constructor is None:
+        raise KeyError(f"unknown architecture {style}[{variant}]")
+    return constructor(pattern)
 
 
 @dataclass(frozen=True)

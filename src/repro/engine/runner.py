@@ -19,12 +19,10 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.mapping_params import MappingError
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, build_design
 from repro.engine.pareto import pareto_min
 from repro.flow import opt_label_suffix
-from repro.hdl.netlist import NetlistError
 from repro.obs import (
     NULL_SPAN,
     Tracer,
@@ -34,11 +32,11 @@ from repro.obs import (
     span,
 )
 from repro.resilience.faults import fault_point
+from repro.resilience.retry import DETERMINISTIC_ERRORS, RetryPolicy
 from repro.synth.power import estimate_power
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.engine.scheduler import Scheduler
-    from repro.resilience.retry import RetryPolicy
 
 __all__ = ["CampaignResult", "CampaignRunner", "EvalRecord", "evaluate_job"]
 
@@ -277,7 +275,7 @@ def evaluate_job(job: EvalJob) -> EvalRecord:
                 if result.cec_report is not None
                 else None
             )
-        except (MappingError, NetlistError, ValueError) as error:
+        except DETERMINISTIC_ERRORS as error:
             return EvalRecord(
                 status=SKIPPED,
                 note=str(error),

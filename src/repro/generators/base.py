@@ -12,14 +12,10 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
-# repro.synth first: repro.flow validates DEFAULT_SPEC against the cell
-# library at import, and repro.synth.flow imports repro.flow, so loading
-# repro.flow before the repro.synth package is an import cycle.  This module
-# is the first of the package to load (repro.core's SRAG builds on it).
-from repro.synth.flow import run_synthesis_flow
 from repro.flow import DEFAULT_SPEC, FlowSpec
 from repro.hdl.netlist import Netlist
 from repro.obs import phase
+from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
 from repro.workloads.sequences import AddressSequence
 

@@ -38,6 +38,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.retry import (
     DETERMINISTIC,
+    DETERMINISTIC_ERRORS,
     TRANSIENT,
     RetryPolicy,
     call_with_retry,
@@ -46,6 +47,7 @@ from repro.resilience.retry import (
 
 __all__ = [
     "DETERMINISTIC",
+    "DETERMINISTIC_ERRORS",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",

@@ -7,10 +7,11 @@ carry one.  Backoff is a pure function of the attempt number (exponential
 with a cap, **no jitter**): two runs of the same plan wait the same
 schedule, which is what keeps chaos tests reproducible.
 
-Classification extends the contract :func:`repro.engine.runner.evaluate_job`
-already lives by: mapping/netlist/value errors are *deterministic* (retrying
-cannot help; the record is SKIPPED and cacheable), everything else is
-*transient* (the record is ERROR, never cached, and a candidate for retry).
+Classification and :func:`repro.engine.runner.evaluate_job` read one rule,
+:data:`DETERMINISTIC_ERRORS`: mapping/netlist/value errors are
+*deterministic* (retrying cannot help; the record is SKIPPED and
+cacheable), everything else is *transient* (the record is ERROR, never
+cached, and a candidate for retry).
 
 :func:`call_with_retry` is the one sanctioned retry loop in the tree; the
 ``ast.bare-retry-loop`` lint rule rejects hand-rolled ``while True`` /
@@ -22,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Type, TypeVar
 
+from repro.core.mapping_params import MappingError
+from repro.hdl.netlist import NetlistError
 from repro.obs import metrics
 
 __all__ = [
     "DETERMINISTIC",
+    "DETERMINISTIC_ERRORS",
     "TRANSIENT",
     "RetryPolicy",
     "call_with_retry",
@@ -38,19 +42,23 @@ __all__ = [
 TRANSIENT = "transient"
 DETERMINISTIC = "deterministic"
 
+#: The exception types that fail identically on every attempt: an
+#: architecture that cannot implement a pattern, a malformed netlist, a bad
+#: value.  ``evaluate_job`` records them as SKIPPED.
+DETERMINISTIC_ERRORS: Tuple[Type[BaseException], ...] = (
+    MappingError,
+    NetlistError,
+    ValueError,
+)
+
 
 def classify_exception(error: BaseException) -> str:
     """Label ``error`` transient or deterministic for retry decisions.
 
-    Mirrors the :func:`~repro.engine.runner.evaluate_job` status contract:
-    the exception types it converts to SKIPPED records are deterministic;
-    everything else -- OS-level trouble, pool breakage, injected faults --
-    is transient.
+    :data:`DETERMINISTIC_ERRORS` are deterministic; everything else --
+    OS-level trouble, pool breakage, injected faults -- is transient.
     """
-    from repro.core.mapping_params import MappingError
-    from repro.hdl.netlist import NetlistError
-
-    if isinstance(error, (MappingError, NetlistError, ValueError, TypeError)):
+    if isinstance(error, DETERMINISTIC_ERRORS):
         return DETERMINISTIC
     return TRANSIENT
 

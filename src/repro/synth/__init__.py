@@ -19,10 +19,12 @@ Main entry points
   synthesis (the paper's "symbolic state machine" baseline).
 """
 
+# Not re-exported here: repro.synth.flow imports repro.flow, which imports
+# this package's cell library while it initialises, so importing the flow
+# from this package would be an import cycle.
 from repro.synth.area import AreaReport, area_report
 from repro.synth.buffering import insert_buffer_trees
 from repro.synth.cell_library import CellCharacteristics, CellLibrary, STD018
-from repro.synth.flow import run_synthesis_flow
 from repro.synth.report import SynthesisResult
 from repro.synth.timing import TimingReport, timing_report
 
@@ -33,8 +35,8 @@ __all__ = [
     "CellCharacteristics",
     "CellLibrary",
     "STD018",
-    "run_synthesis_flow",
     "SynthesisResult",
     "TimingReport",
     "timing_report",
 ]
+

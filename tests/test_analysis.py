@@ -3,8 +3,10 @@
 
 import pytest
 
-from repro.analysis.explorer import DesignPoint, explore, pareto_front
+from repro.analysis.explorer import describe_design_space, explore
 from repro.analysis.reporting import format_figure, format_series, format_table
+from repro.engine.jobs import STYLE_VARIANTS, Campaign
+from repro.engine.runner import CampaignRunner
 from repro.flow import FlowSpec
 from repro.analysis.tradeoff import (
     GeneratorMetrics,
@@ -14,7 +16,7 @@ from repro.analysis.tradeoff import (
     evaluate_cntag,
     evaluate_srag,
 )
-from repro.workloads import fifo, motion_estimation
+from repro.workloads import motion_estimation
 
 
 # ---------------------------------------------------------------------------
@@ -62,94 +64,86 @@ def test_evaluate_and_compare_real_generators():
 
 
 # ---------------------------------------------------------------------------
-# Pareto front and exploration
+# Exploration
 # ---------------------------------------------------------------------------
 
-def _point(style, delay, area):
-    return DesignPoint(style=style, variant="", delay_ns=delay, area_cells=area, flip_flops=0)
-
-
-def test_pareto_front_filters_dominated_points():
-    a = _point("A", 1.0, 100.0)
-    b = _point("B", 2.0, 50.0)
-    c = _point("C", 2.5, 200.0)  # dominated by both A (delay) and... kept? no: dominated by B
-    front = pareto_front([a, b, c])
-    assert a in front and b in front and c not in front
-
-
-def test_pareto_front_keeps_unique_point():
-    a = _point("A", 1.0, 1.0)
-    assert pareto_front([a]) == [a]
+def _styles(records):
+    return {record.style for record in records}
 
 
 def test_explore_covers_multiple_architectures():
-    result = explore(fifo.fifo_pattern(4, 4))
-    styles = {point.style for point in result.points}
-    assert {"SRAG", "CntAG"}.issubset(styles)
-    assert result.best_delay() is not None
-    assert result.best_area() is not None
-    assert result.pareto()
-    text = result.describe()
+    result = explore("fifo", 4, 4)
+    points = result.ok_records()
+    assert {"SRAG", "CntAG"}.issubset(_styles(points))
+    assert result.pareto_fronts()
+    text = describe_design_space(result)
     assert "Pareto" in text
 
 
 def test_explore_records_inapplicable_architectures():
-    result = explore(motion_estimation.new_img_read_pattern(4, 4, 2, 2))
-    skipped_styles = {point.style for point in result.skipped}
+    result = explore("motion_est_read", 4, 4)
+    skipped = [record for record in result.records if record.status == "skipped"]
     # The SFM cannot implement block access.
-    assert "SFM" in skipped_styles
-    for point in result.skipped:
-        assert not point.applicable
-        assert point.note
+    assert "SFM" in _styles(skipped)
+    for record in skipped:
+        assert record.note
+        assert f"not applicable: {record.note}" in describe_design_space(result)
 
 
 def test_explore_skips_fsm_for_long_sequences():
-    result = explore(
-        motion_estimation.new_img_read_pattern(8, 8, 2, 2),
-        spec=FlowSpec(max_fsm_states=16),
-    )
-    assert all(point.style != "FSM" for point in result.points)
+    result = explore("motion_est_read", 8, 8, spec=FlowSpec(max_fsm_states=16))
+    assert "FSM" not in _styles(result.records)
 
 
 def test_explore_records_failures_raised_during_evaluation(monkeypatch):
     """Regression: a failure inside synthesize() must be skipped, not raised.
 
     Candidate construction can succeed while elaboration/synthesis later
-    raises (the netlist is built lazily); the docstring promises those land
-    in ``skipped`` like construction failures do.
+    raises (the netlist is built lazily); those land in the ``skipped``
+    records like construction failures do.
     """
-    import repro.analysis.explorer as explorer_module
+    from repro.engine import runner
     from repro.hdl.netlist import NetlistError
 
     class ExplodingDesign:
-        style = "BOOM"
-
         def synthesize(self, **kwargs):
             raise NetlistError("elaboration exploded late")
 
-    pattern = fifo.fifo_pattern(4, 4)
-    real_factories = explorer_module.candidate_factories
+    real_build_design = runner.build_design
 
-    def with_exploder(*args, **kwargs):
-        return real_factories(*args, **kwargs) + [
-            ("BOOM", "late", lambda: ExplodingDesign())
-        ]
+    def with_exploder(pattern, style, variant):
+        if (style, variant) == ("ArithAG", "binary"):
+            return ExplodingDesign()
+        return real_build_design(pattern, style, variant)
 
-    monkeypatch.setattr(explorer_module, "candidate_factories", with_exploder)
-    result = explore(pattern)
-    assert any(p.style == "BOOM" for p in result.skipped)
-    boom = next(p for p in result.skipped if p.style == "BOOM")
-    assert not boom.applicable and "exploded late" in boom.note
+    monkeypatch.setattr(runner, "build_design", with_exploder)
+    result = explore("fifo", 4, 4)
+    (boom,) = [r for r in result.records if r.style == "ArithAG"]
+    assert boom.status == "skipped" and "exploded late" in boom.note
     # The survivors are unaffected.
-    assert {p.style for p in result.points} >= {"SRAG", "CntAG"}
+    assert _styles(result.ok_records()) >= {"SRAG", "CntAG"}
 
 
 def test_explore_passes_opt_level_through_to_synthesis():
-    raw = explore(fifo.fifo_pattern(8, 8))
-    opt = explore(fifo.fifo_pattern(8, 8), spec=FlowSpec(opt_level=1))
-    area = {(p.style, p.variant): p.area_cells for p in raw.points}
-    area_opt = {(p.style, p.variant): p.area_cells for p in opt.points}
+    raw = explore("fifo", 8, 8)
+    opt = explore("fifo", 8, 8, spec=FlowSpec(opt_level=1))
+    area = {(r.style, r.variant): r.area_cells for r in raw.ok_records()}
+    area_opt = {(r.style, r.variant): r.area_cells for r in opt.ok_records()}
     assert area_opt[("CntAG", "decoders")] < area[("CntAG", "decoders")]
+
+
+def test_explore_records_match_a_campaign_over_the_same_styles():
+    result = explore("fifo", 8, 8)
+    styles = [(r.style, r.variant) for r in result.records]
+    campaign = Campaign.from_grid("g", workloads=("fifo",), geometries=((8, 8),), styles=styles)
+    with CampaignRunner() as campaign_runner:
+        expected = campaign_runner.run(campaign).records
+    assert len(expected) == len(result.records) == len(STYLE_VARIANTS)
+
+    def comparable(record):
+        return {**record.to_dict(), "duration_s": 0.0}
+
+    assert [comparable(r) for r in result.records] == [comparable(r) for r in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.explorer import DesignPoint, pareto_front
+from repro.analysis.explorer import describe_design_space, explore
 from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import Campaign, EvalJob, STYLE_VARIANTS, build_design
@@ -605,14 +605,15 @@ def test_pareto_sweep_keeps_nan_points():
 
 
 def test_explorer_pareto_front_uses_sweep():
-    points = [
-        DesignPoint("A", "", 1.0, 100.0, 0),
-        DesignPoint("B", "", 2.0, 50.0, 0),
-        DesignPoint("C", "", 2.5, 200.0, 0),
+    result = explore("fifo", 4, 4)
+    front = pareto_min(result.ok_records(), key=lambda r: (r.delay_ns, r.area_cells))
+    starred = [
+        line.split()[1]
+        for line in describe_design_space(result).splitlines()
+        if line.startswith(" * ")
     ]
-    front = pareto_front(points)
-    assert front == points[:2]
-    assert pareto_min(points, key=lambda p: (p.delay_ns, p.area_cells)) == front
+    assert 0 < len(front) < len(result.ok_records())
+    assert sorted(starred) == sorted(f"{r.style}[{r.variant}]" for r in front)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,14 @@ Three contracts matter here:
 
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.analysis.explorer import explore
 from repro.cli import build_parser, main
 from repro.core.addm_generator import SragAddressGenerator
@@ -28,7 +32,7 @@ from repro.engine.runner import EvalRecord
 from repro.flow import DEFAULT_SPEC, FSM_ENCODINGS, FlowSpec, opt_label_suffix
 from repro.synth.cell_library import STD018, get_library
 from repro.synth.flow import run_synthesis_flow
-from repro.workloads.fifo import fifo_pattern, incremental_sequence
+from repro.workloads.fifo import incremental_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ _PRE_FLOWSPEC_CALLS = {
         incremental_sequence(8)
     ).synthesize(STD018, STD018),
     "generate": lambda: generate(incremental_sequence(8), library=STD018),
-    "explore": lambda: explore(fifo_pattern(4, 4), max_fsm_states=4),
+    "explore": lambda: explore("fifo", 4, 4, max_fsm_states=4),
     "EvalJob": lambda: EvalJob("fifo", 4, 4, "SRAG", "two-hot", power_cycles=64),
     "Campaign.from_grid": lambda: Campaign.from_grid(
         "g", workloads=("fifo",), geometries=((4, 4),), max_fanout=4
@@ -279,6 +283,30 @@ def test_ephemeral_library_specs_survive_pickling_into_fresh_registries(monkeypa
     clone = pickle.loads(payload)
     assert clone.key == job.key  # key needs the fingerprint -> the library
     assert clone.spec.resolve_library().cells == corner.cells
+
+
+_IMPORT_WITHOUT_PACKAGE_INIT = """
+import importlib, sys, types
+package = types.ModuleType("repro")
+package.__path__ = [{package_dir!r}]
+sys.modules["repro"] = package
+importlib.import_module({module!r})
+"""
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.flow", "repro.synth.flow", "repro.generators.base"]
+)
+def test_module_imports_without_the_package_init(module):
+    """No import order is load-bearing: each module loads on its own, not
+    only after ``repro/__init__`` has imported its dependencies first."""
+    code = _IMPORT_WITHOUT_PACKAGE_INIT.format(
+        package_dir=os.path.dirname(repro.__file__), module=module
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 # ---------------------------------------------------------------------------

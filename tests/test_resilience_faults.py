@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.mapping_params import MappingError
+from repro.hdl.netlist import NetlistError
 from repro.obs import metrics
 from repro.resilience.faults import (
     FAULTS_ENV_VAR,
@@ -325,12 +327,34 @@ def test_policy_validation():
 
 
 def test_classification_mirrors_the_evaluate_job_contract():
-    from repro.core.mapping_params import MappingError
-
     assert classify_exception(MappingError("no mapping")) == DETERMINISTIC
     assert classify_exception(ValueError("bad spec")) == DETERMINISTIC
     assert classify_exception(OSError("pool broke")) == TRANSIENT
     assert classify_exception(FaultInjected("chaos")) == TRANSIENT
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        pytest.param(MappingError("no mapping"), id="MappingError"),
+        pytest.param(NetlistError("bad netlist"), id="NetlistError"),
+        pytest.param(ValueError("bad value"), id="ValueError"),
+        pytest.param(TypeError("bad type"), id="TypeError"),
+        pytest.param(OSError("pool broke"), id="OSError"),
+        pytest.param(FaultInjected("chaos"), id="FaultInjected"),
+    ],
+)
+def test_evaluate_job_skips_exactly_the_deterministic_errors(error, monkeypatch):
+    from repro.engine import runner
+    from repro.engine.jobs import EvalJob
+
+    def failing_build_design(pattern, style, variant):
+        raise error
+
+    monkeypatch.setattr(runner, "build_design", failing_build_design)
+    record = runner.evaluate_job(EvalJob("fifo", 4, 4, "SRAG", "two-hot"))
+    assert record.status in ("skipped", "error")
+    assert (record.status == "skipped") == (classify_exception(error) == DETERMINISTIC)
 
 
 def test_call_with_retry_heals_transient_failures():

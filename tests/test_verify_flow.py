@@ -237,6 +237,21 @@ def test_cli_connect_refuses_checks_whose_results_never_come_back(check, capsys)
     assert "--connect" in line and check in line
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--campaign", "smoke", "--no-verify"], "--no-verify"),
+        (_FIFO + ["--explore", "--no-verify"], "--no-verify"),
+        (_FIFO + ["--explore", "--connect", "127.0.0.1:9"], "--connect"),
+    ],
+    ids=["campaign-no-verify", "explore-no-verify", "explore-connect"],
+)
+def test_cli_refuses_flags_the_mode_would_ignore(argv, flag, capsys):
+    # Refused before any evaluation or connection is attempted.
+    line = _usage_error_line(argv, capsys)
+    assert flag in line
+
+
 @pytest.mark.parametrize("check", ["--lint", "--cec"])
 def test_cli_explore_refuses_checks_it_cannot_report(check, capsys):
     line = _usage_error_line(_FIFO + ["--explore", check], capsys)
